@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
-"""Benchmark the compiled steps-to-block kernel against its pure twin.
+"""Benchmark the Monte Carlo stages: trial-order generation and the
+steps-to-block kernels.
 
 Both kernels walk the same trial orders over the same cover matrices,
 so their outputs must agree element for element; this script checks
-that first and then reports wall-clock timings per problem size.
+that first and then reports best-of-N wall-clock timings per problem
+size for generating the orders and for each kernel.
 
 Run from a checkout with the package installed:
 
@@ -40,6 +42,15 @@ def _synthetic_case(rng, m, t, threshold):
     return f"synthetic {m}x{t}, threshold {threshold}", covers, threshold
 
 
+def _time_orders(m, trials, seed, repeat):
+    best = float("inf")
+    for _ in range(repeat):
+        start = time.perf_counter()
+        orders = trial_orders(m, trials, seed)
+        best = min(best, time.perf_counter() - start)
+    return best, orders
+
+
 def _time_kernel(kernel, orders, covers, threshold, repeat):
     out = np.empty(orders.shape[0], dtype=np.int64)
     best = float("inf")
@@ -68,9 +79,11 @@ def main() -> int:
         print("compiled kernel not built; timing the python kernel only")
 
     for label, covers, threshold in cases:
-        orders = trial_orders(covers.shape[0], args.trials, args.seed)
+        orders_time, orders = _time_orders(
+            covers.shape[0], args.trials, args.seed, args.repeat
+        )
         py_time, py_out = _time_kernel(_mcsim_py, orders, covers, threshold, args.repeat)
-        line = f"{label}: python {py_time * 1000:8.1f} ms"
+        line = f"{label}: orders {orders_time * 1000:8.1f} ms, python {py_time * 1000:8.1f} ms"
         if _mcsim is not None:
             c_time, c_out = _time_kernel(_mcsim, orders, covers, threshold, args.repeat)
             if not np.array_equal(py_out, c_out):

@@ -11,6 +11,7 @@ regardless of evaluation order.
 
 from __future__ import annotations
 
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -39,6 +40,12 @@ else:
 MAX_SEED = 2**64 - 1
 
 
+def _is_integer(value) -> bool:
+    """True for Python and NumPy integers; bool is an int subclass but
+    never a count or a seed."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def kernel_backend() -> str:
     """Active steps-to-block kernel: "compiled" or "python"."""
     return "python" if _kernel.__name__.endswith("_py") else "compiled"
@@ -60,10 +67,11 @@ class Campaign:
             parse_technique_id(tid)
         if len(set(self.techniques)) != len(self.techniques):
             raise ValidationError("campaign techniques must be unique")
-        if not isinstance(self.block_threshold, int) or self.block_threshold < 1:
+        if not _is_integer(self.block_threshold) or self.block_threshold < 1:
             raise ValidationError(
                 f"block threshold must be a positive integer, got {self.block_threshold!r}"
             )
+        object.__setattr__(self, "block_threshold", int(self.block_threshold))
 
 
 @dataclass(frozen=True)
@@ -250,18 +258,106 @@ def _cover_matrix(catalog: Catalog, resolved: tuple[str, ...]) -> np.ndarray:
     return covers
 
 
+# Philox4x64-10 (Salmon et al., SC 2011), as NumPy's Philox bit generator
+# implements it: the multipliers for counter words 0 and 2, and the Weyl
+# increments added to the two key words after each round.
+_PHILOX_M = ((0xD2E7470EE14C6C93,), (0xCA5A826395121157,))
+_PHILOX_W = ((0x9E3779B97F4A7C15,), (0xBB67AE8584CAA73B,))
+_LOW32 = 0xFFFFFFFF
+_LOW64 = 0xFFFFFFFFFFFFFFFF
+
+# Trials generated side by side.  Scratch memory grows with this, not
+# with the trial count.
+TRIAL_LANES = 2048
+
+
+def _philox_block(counter: int, seed: int, lanes: np.ndarray):
+    """One Philox4x64-10 block per lane, for counter [counter, 0, 0, 0]
+    and key [seed, lane]: its four 64-bit output words, one array of
+    lanes each."""
+    # Rows of p are words 0 and 2, which a round multiplies by M into
+    # 128-bit products hi:lo.  Words 1 and 3 are the previous round's lo
+    # in swapped rows, so a round sets p = hi[::-1] ^ lo_prev[::-1] ^ key,
+    # computed as (hi ^ lo_prev)[::-1] ^ key.  Constants are expanded to
+    # full rows because NumPy's contiguous loops run about twice as fast
+    # as broadcast ones.
+    n = lanes.size
+    mul = np.repeat(np.array(_PHILOX_M, dtype=np.uint64), n, axis=1)
+    mul_lo = mul & _LOW32
+    mul_hi = mul >> 32
+    bump = np.repeat(np.array(_PHILOX_W, dtype=np.uint64), n, axis=1)
+    key = np.empty((2, n), dtype=np.uint64)
+    key[0] = seed
+    key[1] = lanes
+    # Round 1: counter words 1..3 are 0, so only M0 * counter is nonzero.
+    first = _PHILOX_M[0][0] * counter
+    p = np.empty((2, n), dtype=np.uint64)
+    p[0] = seed
+    p[1] = lanes ^ (first >> 64)
+    lo = np.zeros((2, n), dtype=np.uint64)
+    lo[0] = first & _LOW64
+    for _ in range(9):
+        key += bump
+        # 64x64 -> 128-bit multiply from 32-bit halves; uint64 wraps mod 2^64.
+        p_lo = p & _LOW32
+        p_hi = p >> 32
+        mid = p_hi * mul_lo + ((p_lo * mul_lo) >> 32)
+        low_mid = (mid & _LOW32) + p_lo * mul_hi
+        hi = p_hi * mul_hi + (mid >> 32) + (low_mid >> 32)
+        next_lo = p * mul
+        p = (hi ^ lo)[::-1] ^ key
+        lo = next_lo
+    return p[0], lo[1], p[1], lo[0]
+
+
 def trial_orders(m: int, trials: int, seed: int) -> np.ndarray:
     """Random mitigation orders, one permutation of 0..m-1 per trial.
 
-    Trial t draws from its own counter-based stream keyed (seed, t), so
-    the full batch is independent of generation order and can be
-    regenerated per-trial by parallel workers.
+    Row t equals ``Generator(Philox(key=[seed, t])).permutation(m)``:
+    a Philox4x64-10 stream keyed (seed, t) whose counter starts at 1,
+    read 32 bits at a time (low half of each 64-bit output first), feeds
+    NumPy's Fisher-Yates shuffle of arange(m), which for i = m-1 .. 1
+    draws j by masked rejection (u32 & (2^bitlen(i) - 1), redrawn while
+    above i) and swaps positions i and j.  Each trial owns its stream,
+    so the batch is independent of generation order and any row can be
+    regenerated alone.
+
+    Trials run in lockstep, TRIAL_LANES at a time.  Every live lane
+    consumes one whole block per step, so all lanes share the counter
+    and each tests its eight words against its own i; a lane drops out
+    once its i reaches 0.
     """
     orders = np.empty((trials, m), dtype=np.int64)
-    for t in range(trials):
-        key = np.array([seed, t], dtype=np.uint64)
-        rng = np.random.Generator(np.random.Philox(key=key))
-        orders[t] = rng.permutation(m)
+    orders[:] = np.arange(m)
+    if m < 2:
+        return orders
+    flat = orders.reshape(-1)
+    masks = np.array([(1 << i.bit_length()) - 1 for i in range(m)], dtype=np.int64)
+    for start in range(0, trials, TRIAL_LANES):
+        lanes = np.arange(start, min(start + TRIAL_LANES, trials), dtype=np.uint64)
+        rows = lanes.astype(np.int64) * m
+        i = np.full(lanes.size, m - 1, dtype=np.int64)
+        counter = 0
+        while lanes.size:
+            counter += 1
+            for x in _philox_block(counter, seed, lanes):
+                for word in (x & _LOW32, x >> 32):
+                    # A lane whose i reached 0 draws j = 0 (a no-op swap)
+                    # and moves to i = -1, which no later word accepts:
+                    # masks[-1] is still a valid index and j >= 0.
+                    j = word.view(np.int64) & masks[i]
+                    accept = j <= i
+                    hit = np.flatnonzero(accept)
+                    row = rows[hit]
+                    pos_i = row + i[hit]
+                    pos_j = row + j[hit]
+                    held = flat[pos_i]
+                    flat[pos_i] = flat[pos_j]
+                    flat[pos_j] = held
+                    i -= accept
+            live = i > 0
+            if not live.all():
+                lanes, rows, i = lanes[live], rows[live], i[live]
     return orders
 
 
@@ -274,10 +370,11 @@ def random_baseline(
     Unblockable trials (threshold unreachable for some technique) carry
     no step count; they only raise unblocked_fraction.
     """
-    if trials < 1:
-        raise ValidationError("trials must be >= 1")
-    if not isinstance(seed, int) or not 0 <= seed <= MAX_SEED:
-        raise ValidationError("seed must be an integer in [0, 2^64)")
+    if not _is_integer(trials) or trials < 1:
+        raise ValidationError(f"trials must be an integer >= 1, got {trials!r}")
+    if not _is_integer(seed) or not 0 <= seed <= MAX_SEED:
+        raise ValidationError(f"seed must be an integer in [0, 2^64), got {seed!r}")
+    trials, seed = int(trials), int(seed)
     resolved = resolve_campaign(campaign, catalog)
     covers = _cover_matrix(catalog, resolved)
     orders = trial_orders(covers.shape[0], trials, seed)

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 
 def oracle_wsm(u, w):
     """Row totals of the weighted matrix, one loop at a time."""
@@ -71,3 +73,14 @@ def oracle_steps_to_block(order, covers, techniques, threshold):
         ):
             return end
     return None
+
+
+def oracle_trial_orders(m, trials, seed):
+    """Monte Carlo trial orders by the documented stream contract: row t
+    is ``Generator(Philox(key=[seed, t])).permutation(m)``, built with
+    one NumPy generator per trial."""
+    orders = np.empty((trials, m), dtype=np.int64)
+    for t in range(trials):
+        key = np.array([seed, t], dtype=np.uint64)
+        orders[t] = np.random.Generator(np.random.Philox(key=key)).permutation(m)
+    return orders

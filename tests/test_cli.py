@@ -302,6 +302,15 @@ class TestSimulate:
         assert out[2].startswith("baseline over 500 trials (seed 42): mean ")
         assert out[3].startswith("plan advantage: ")
 
+    def test_readme_seed_42_summary(self, fixture_dir, capsys):
+        assert self._simulate(fixture_dir, "T1053,T1059", trials="10000") == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "campaign: T1053,T1059 (threshold 1)",
+            "plan steps to block: 1",
+            "baseline over 10000 trials (seed 42): mean 4.476, std 2.457, unblocked 0.0%",
+            "plan advantage: 4.476x fewer steps than random",
+        ]
+
     def test_subtechnique_spelling_equivalent(self, fixture_dir, tmp_path, capsys):
         exact_out = tmp_path / "exact.json"
         sub_out = tmp_path / "sub.json"

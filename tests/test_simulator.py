@@ -1,17 +1,22 @@
 from __future__ import annotations
 
+import hashlib
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mitiplan.catalog import Catalog, Mitigation, Technique
 from mitiplan.errors import SimulationError, ValidationError
 from mitiplan.matrix import build_decision_matrix
 from mitiplan.mcdm import rank, wsm_scores
 from mitiplan.simulator import (
+    MAX_SEED,
+    TRIAL_LANES,
     Campaign,
     MonteCarloSummary,
     SimulationResult,
@@ -24,7 +29,7 @@ from mitiplan.simulator import (
 )
 
 from helpers import random_catalog_and_weights
-from oracles import oracle_steps_to_block
+from oracles import oracle_steps_to_block, oracle_trial_orders
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +56,16 @@ class TestCampaign:
             Campaign(techniques=("T1059", "T1059"))
         with pytest.raises(ValidationError):
             Campaign(techniques=("T1059",), block_threshold=0)
+
+    @pytest.mark.parametrize("threshold", [True, 1.0, 2.5, "2", None])
+    def test_threshold_must_be_an_integer(self, threshold):
+        with pytest.raises(ValidationError, match="block threshold"):
+            Campaign(techniques=("T1059",), block_threshold=threshold)
+
+    def test_numpy_integer_threshold_normalised(self):
+        campaign = Campaign(techniques=("T1059",), block_threshold=np.int64(2))
+        assert type(campaign.block_threshold) is int
+        assert campaign == Campaign(techniques=("T1059",), block_threshold=2)
 
     def test_accepts_any_sequence(self):
         campaign = Campaign(techniques=["T1059", "T1112"])
@@ -271,6 +286,34 @@ class TestTrialOrders:
         b = trial_orders(12, 20, seed=2)
         assert not np.array_equal(a, b)
 
+    def test_golden_digest(self):
+        # Pins the (seed, t) stream contract behind the README's seed-42
+        # baseline, so any drift in the generator fails here first.
+        orders = trial_orders(18, 10000, 42)
+        assert orders.dtype == np.int64
+        assert hashlib.sha256(orders.tobytes()).hexdigest() == (
+            "4fc0b99896f3b14a5e5b2f27895d593a724414a760eeab889f129ab683f2d784"
+        )
+
+    @pytest.mark.parametrize("seed", [0, MAX_SEED])
+    @pytest.mark.parametrize("m", [0, 1, 2, 3, 4, 5, 8, 9, 17, 45, 200])
+    def test_matches_per_trial_generator(self, m, seed):
+        # Trial counts straddle the lane chunk, where lanes restart.
+        expected = oracle_trial_orders(m, TRIAL_LANES + 1, seed)
+        for trials in (TRIAL_LANES - 1, TRIAL_LANES, TRIAL_LANES + 1):
+            assert np.array_equal(trial_orders(m, trials, seed), expected[:trials])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.integers(0, 70),
+        trials=st.integers(0, 40),
+        seed=st.integers(0, MAX_SEED),
+    )
+    def test_matches_per_trial_generator_property(self, m, trials, seed):
+        assert np.array_equal(
+            trial_orders(m, trials, seed), oracle_trial_orders(m, trials, seed)
+        )
+
 
 class TestRandomBaseline:
     def test_single_cover_mean_near_uniform_expectation(self, v13_catalog):
@@ -320,6 +363,22 @@ class TestRandomBaseline:
         with pytest.raises(ValidationError):
             random_baseline(v13_catalog, campaign, trials=10, seed=2**64)
 
+    @pytest.mark.parametrize("trials", [True, 2.5, 10.0, "10", None])
+    def test_trials_must_be_an_integer(self, v13_catalog, trials):
+        with pytest.raises(ValidationError, match="trials"):
+            random_baseline(v13_catalog, Campaign(techniques=("T1059",)), trials, seed=1)
+
+    @pytest.mark.parametrize("seed", [True, False, 1.0, "1", None])
+    def test_seed_must_be_an_integer(self, v13_catalog, seed):
+        with pytest.raises(ValidationError, match="seed"):
+            random_baseline(v13_catalog, Campaign(techniques=("T1059",)), 10, seed)
+
+    def test_numpy_integer_arguments_normalised(self, v13_catalog):
+        campaign = Campaign(techniques=("T1059",))
+        summary = random_baseline(v13_catalog, campaign, np.int64(50), np.uint64(MAX_SEED))
+        assert type(summary.trials) is int and type(summary.seed) is int
+        assert summary == random_baseline(v13_catalog, campaign, 50, MAX_SEED)
+
 
 class TestKernels:
     def test_backend_reported(self):
@@ -341,6 +400,21 @@ class TestKernels:
             compiled.steps_to_block_batch(orders, covers, threshold, out_c)
             _mcsim_py.steps_to_block_batch(orders, covers, threshold, out_p)
             assert np.array_equal(out_c, out_p)
+
+    def test_python_kernel_rows_independent_of_batch(self):
+        # The pure kernel converts orders a block of rows at a time; a
+        # batch spanning several blocks must match row-by-row calls.
+        from mitiplan import _mcsim_py
+
+        rng = np.random.default_rng(607)
+        covers = (rng.random((9, 3)) < 0.4).astype(np.uint8)
+        orders = trial_orders(9, 2 * _mcsim_py._ROW_BLOCK + 3, seed=5)
+        batch = np.empty(orders.shape[0], dtype=np.int64)
+        _mcsim_py.steps_to_block_batch(orders, covers, 2, batch)
+        single = np.empty(1, dtype=np.int64)
+        for k, order in enumerate(orders):
+            _mcsim_py.steps_to_block_batch(order[None], covers, 2, single)
+            assert batch[k] == single[0]
 
     def test_env_var_forces_python_backend(self):
         env = dict(os.environ, MITIPLAN_KERNEL="python")
