@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
-"""Benchmark the Monte Carlo stages: trial-order generation and the
-steps-to-block kernels.
+"""Benchmark the pipeline stages: catalog → matrix → rank, trial-order
+generation and the steps-to-block kernels.
 
-Both kernels walk the same trial orders over the same cover matrices,
-so their outputs must agree element for element; this script checks
-that first and then reports best-of-N wall-clock timings per problem
-size for generating the orders and for each kernel.
+The catalog stages (decision-matrix build, canonical catalog dump, and
+rank) run on the seeded Enterprise-size catalog from
+``tests/helpers.enterprise_catalog_and_weights``.  Both kernels walk the
+same trial orders over the same cover matrices, so their outputs must
+agree element for element; this script checks that first.  Every timing
+is the best-of-N wall-clock time.
 
 Run from a checkout with the package installed:
 
@@ -15,13 +17,22 @@ Run from a checkout with the package installed:
 from __future__ import annotations
 
 import argparse
+import logging
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
 from mitiplan import _mcsim_py
+from mitiplan.catalog import dumps_catalog
 from mitiplan.fixtures import paper_v13_catalog
+from mitiplan.matrix import build_decision_matrix
+from mitiplan.mcdm import rank, wsm_scores
 from mitiplan.simulator import Campaign, _cover_matrix, resolve_campaign, trial_orders
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from helpers import enterprise_catalog_and_weights  # noqa: E402
 
 try:
     from mitiplan import _mcsim
@@ -40,6 +51,33 @@ def _synthetic_case(rng, m, t, threshold):
     covers = (rng.random((m, t)) < 0.3).astype(np.uint8)
     covers[rng.integers(0, m, size=t), np.arange(t)] = 1
     return f"synthetic {m}x{t}, threshold {threshold}", covers, threshold
+
+
+def _best_ms(func, repeat):
+    best = float("inf")
+    for _ in range(repeat):
+        start = time.perf_counter()
+        func()
+        best = min(best, time.perf_counter() - start)
+    return best * 1000
+
+
+def _catalog_stages(repeat):
+    catalog, weights = enterprise_catalog_and_weights()
+    logging.disable(logging.WARNING)  # the dropped-technique warning
+    matrix = build_decision_matrix(catalog, weights)
+    scores = wsm_scores(matrix)
+    timings = {
+        "matrix build": _best_ms(lambda: build_decision_matrix(catalog, weights), repeat),
+        "catalog dump": _best_ms(lambda: dumps_catalog(catalog), repeat),
+        "rank": _best_ms(lambda: rank(scores, matrix), repeat),
+    }
+    logging.disable(logging.NOTSET)
+    label = (
+        f"enterprise catalog {len(catalog.techniques)} T / "
+        f"{len(catalog.mitigations)} M / {len(catalog.mappings)} pairs"
+    )
+    return label + ": " + ", ".join(f"{k} {v:6.2f} ms" for k, v in timings.items())
 
 
 def _time_orders(m, trials, seed, repeat):
@@ -75,6 +113,7 @@ def main() -> int:
         _synthetic_case(rng, 200, 25, 3),
     ]
 
+    print(_catalog_stages(args.repeat))
     if _mcsim is None:
         print("compiled kernel not built; timing the python kernel only")
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring
 from pathlib import Path
 
 from .errors import CatalogError, ParseError, SchemaVersionError, ValidationError
@@ -46,6 +47,13 @@ def parent_technique(technique_id: str) -> str:
     return technique_id.split(".", 1)[0]
 
 
+def _check_type(entity_id: str, field_name: str, value, kind: type) -> None:
+    if not isinstance(value, kind):
+        raise ValidationError(
+            f"{entity_id}: {field_name} must be a {kind.__name__}, got {value!r}"
+        )
+
+
 @dataclass(frozen=True)
 class Technique:
     id: str
@@ -55,6 +63,9 @@ class Technique:
 
     def __post_init__(self):
         parse_technique_id(self.id)
+        _check_type(self.id, "name", self.name, str)
+        _check_type(self.id, "revoked", self.revoked, bool)
+        _check_type(self.id, "deprecated", self.deprecated, bool)
 
 
 @dataclass(frozen=True)
@@ -64,6 +75,7 @@ class Mitigation:
 
     def __post_init__(self):
         parse_mitigation_id(self.id)
+        _check_type(self.id, "name", self.name, str)
 
 
 @dataclass(frozen=True)
@@ -106,14 +118,28 @@ class Catalog:
             raise CatalogError("duplicate technique IDs in catalog")
         if len(set(mids)) != len(mids):
             raise CatalogError("duplicate mitigation IDs in catalog")
-        if list(self.mappings) != sorted(set(self.mappings)):
+        if any(a >= b for a, b in zip(self.mappings, self.mappings[1:])):
             raise CatalogError("mappings must be unique and sorted")
-        tid_set, mid_set = set(tids), set(mids)
-        for mid, tid in self.mappings:
-            if mid not in mid_set:
-                raise CatalogError(f"mapping references unknown mitigation {mid}")
-            if tid not in tid_set:
-                raise CatalogError(f"mapping references unknown technique {tid}")
+        # Lookup indexes, built once here and kept out of the dataclass
+        # fields, so equality and hashing still see only the content.
+        by_technique: dict[str, list[str]] = {tid: [] for tid in tids}
+        by_mitigation: dict[str, list[str]] = {mid: [] for mid in mids}
+        try:
+            for mid, tid in self.mappings:
+                by_mitigation[mid].append(tid)
+                by_technique[tid].append(mid)
+        except KeyError:
+            if mid not in by_mitigation:
+                message = f"mapping references unknown mitigation {mid}"
+            else:
+                message = f"mapping references unknown technique {tid}"
+            raise CatalogError(message) from None
+        object.__setattr__(
+            self, "_by_technique", {k: tuple(v) for k, v in by_technique.items()}
+        )
+        object.__setattr__(
+            self, "_by_mitigation", {k: tuple(v) for k, v in by_mitigation.items()}
+        )
 
     def technique_ids(self) -> tuple[str, ...]:
         return tuple(t.id for t in self.techniques)
@@ -122,18 +148,18 @@ class Catalog:
         return tuple(m.id for m in self.mitigations)
 
     def has_technique(self, technique_id: str) -> bool:
-        return any(t.id == technique_id for t in self.techniques)
+        return technique_id in self._by_technique
 
     def mitigations_for(self, technique_id: str) -> tuple[str, ...]:
         """Mitigation IDs mapped to a technique, sorted."""
-        return tuple(m for m, t in self.mappings if t == technique_id)
+        return self._by_technique.get(technique_id, ())
 
     def techniques_for(self, mitigation_id: str) -> tuple[str, ...]:
         """Technique IDs covered by a mitigation, sorted."""
-        return tuple(sorted(t for m, t in self.mappings if m == mitigation_id))
+        return self._by_mitigation.get(mitigation_id, ())
 
     def mapping_count(self, technique_id: str) -> int:
-        return sum(1 for _, t in self.mappings if t == technique_id)
+        return len(self.mitigations_for(technique_id))
 
     def mitigation_names(self) -> dict[str, str]:
         return {m.id: m.name for m in self.mitigations}
@@ -162,13 +188,42 @@ def collapse_subtechniques(catalog: Catalog) -> Catalog:
     )
 
 
-def _external_attack_id(obj: dict) -> str | None:
-    for ref in obj.get("external_references", []) or []:
+def _external_attack_id(obj: dict, index: int) -> str | None:
+    refs = obj.get("external_references")
+    if refs is None:
+        return None
+    if not isinstance(refs, list):
+        raise ParseError(
+            f"malformed bundle object at index {index}: "
+            "external_references must be an array"
+        )
+    for ref in refs:
         if isinstance(ref, dict) and ref.get("source_name") == "mitre-attack":
             ext = ref.get("external_id")
             if ext:
                 return ext
     return None
+
+
+# STIX properties read into entity fields: (property, type, default when
+# absent or null).
+_ENTITY_FIELDS = (
+    ("name", str, ""),
+    ("revoked", bool, False),
+    ("x_mitre_deprecated", bool, False),
+)
+
+
+def _entity_fields(obj: dict, attack_id: str) -> tuple[str, bool, bool]:
+    """An object's name and revoked/deprecated flags, type-checked."""
+    values = []
+    for prop, kind, default in _ENTITY_FIELDS:
+        value = obj.get(prop)
+        if value is None:
+            value = default
+        _check_type(attack_id, prop, value, kind)
+        values.append(value)
+    return tuple(values)
 
 
 def parse_stix_bundle(
@@ -221,16 +276,19 @@ def parse_stix_bundle(
         stix_id = obj.get("id")
         if not isinstance(stix_id, str):
             raise ParseError(f"malformed bundle object at index {index}: missing id")
-        attack_id = _external_attack_id(obj)
+        attack_id = _external_attack_id(obj, index)
         if attack_id is None:
             skipped += 1
             continue
-        revoked = bool(obj.get("revoked", False))
-        deprecated = bool(obj.get("x_mitre_deprecated", False))
+        try:
+            name, revoked, deprecated = _entity_fields(obj, attack_id)
+        except ValidationError as exc:
+            skipped += 1
+            warnings.append(f"object {index}: {exc}")
+            continue
         if (revoked or deprecated) and not include_deprecated:
             dropped.add(stix_id)
             continue
-        name = obj.get("name", "") or ""
         try:
             if obj_type == "attack-pattern":
                 techniques[stix_id] = Technique(
@@ -388,29 +446,49 @@ def parse_mapping_csv(
     return Catalog.from_parts(techniques.values(), mitigations.values(), mappings)
 
 
-def catalog_to_dict(catalog: Catalog) -> dict:
-    return {
-        "schema_version": CATALOG_SCHEMA_VERSION,
-        "techniques": [
-            {
-                "id": t.id,
-                "name": t.name,
-                "revoked": t.revoked,
-                "deprecated": t.deprecated,
-            }
-            for t in catalog.techniques
-        ],
-        "mitigations": [{"id": m.id, "name": m.name} for m in catalog.mitigations],
-        "mappings": [[mid, tid] for mid, tid in catalog.mappings],
-    }
+def _json_array(items: list[str]) -> str:
+    """A two-space-indented JSON array of pre-rendered items."""
+    if not items:
+        return "[]"
+    return "[\n" + ",\n".join(items) + "\n  ]"
+
+
+def _json_bool(flag: bool) -> str:
+    return "true" if flag else "false"
 
 
 def dumps_catalog(catalog: Catalog) -> bytes:
-    """Canonical UTF-8 JSON: sorted keys, entities sorted by ID."""
-    doc = catalog_to_dict(catalog)
-    return (
-        json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
-    ).encode("utf-8")
+    """Canonical UTF-8 JSON: sorted keys, entities sorted by ID.
+
+    The document holds ``schema_version`` and the ``techniques``
+    (``id``, ``name``, ``revoked``, ``deprecated``), ``mitigations``
+    (``id``, ``name``) and ``mappings`` (``[mitigation_id, technique_id]``)
+    arrays.  It is written line by line, with the standard library's
+    string escaping, as exactly the bytes ``json.dumps(document,
+    sort_keys=True, indent=2, ensure_ascii=False)`` plus a newline.
+    """
+    q = encode_basestring
+    mappings = [
+        f"    [\n      {q(mid)},\n      {q(tid)}\n    ]"
+        for mid, tid in catalog.mappings
+    ]
+    mitigations = [
+        f'    {{\n      "id": {q(m.id)},\n      "name": {q(m.name)}\n    }}'
+        for m in catalog.mitigations
+    ]
+    techniques = [
+        f'    {{\n      "deprecated": {_json_bool(t.deprecated)},\n'
+        f'      "id": {q(t.id)},\n      "name": {q(t.name)},\n'
+        f'      "revoked": {_json_bool(t.revoked)}\n    }}'
+        for t in catalog.techniques
+    ]
+    text = (
+        f'{{\n  "mappings": {_json_array(mappings)},\n'
+        f'  "mitigations": {_json_array(mitigations)},\n'
+        f'  "schema_version": {CATALOG_SCHEMA_VERSION},\n'
+        f'  "techniques": {_json_array(techniques)}\n}}\n'
+    )
+    return text.encode("utf-8")
 
 
 def loads_catalog(data: bytes | str) -> Catalog:
@@ -431,8 +509,8 @@ def loads_catalog(data: bytes | str) -> Catalog:
             Technique(
                 id=entry["id"],
                 name=entry.get("name", ""),
-                revoked=bool(entry.get("revoked", False)),
-                deprecated=bool(entry.get("deprecated", False)),
+                revoked=entry.get("revoked", False),
+                deprecated=entry.get("deprecated", False),
             )
             for entry in doc.get("techniques", [])
         ]
@@ -440,8 +518,20 @@ def loads_catalog(data: bytes | str) -> Catalog:
             Mitigation(id=entry["id"], name=entry.get("name", ""))
             for entry in doc.get("mitigations", [])
         ]
-        mappings = [(pair[0], pair[1]) for pair in doc.get("mappings", [])]
-    except (KeyError, TypeError, IndexError) as exc:
+        mappings = []
+        for pair in doc.get("mappings", []):
+            if not (
+                isinstance(pair, list)
+                and len(pair) == 2
+                and isinstance(pair[0], str)
+                and isinstance(pair[1], str)
+            ):
+                raise ParseError(
+                    f"malformed catalog document: mapping {pair!r} "
+                    "is not a pair of ID strings"
+                )
+            mappings.append((pair[0], pair[1]))
+    except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed catalog document: {exc}") from exc
     return Catalog.from_parts(techniques, mitigations, mappings)
 

@@ -97,10 +97,9 @@ def mapping_counts(catalog: Catalog, weights: WeightVector) -> np.ndarray:
     Every weighted technique must exist in the catalog; a missing one
     raises :class:`CatalogError` naming the technique.
     """
-    known = set(catalog.technique_ids())
     counts = []
     for tid in weights.technique_ids():
-        if tid not in known:
+        if not catalog.has_technique(tid):
             raise CatalogError(f"weighted technique {tid} not present in catalog")
         counts.append(catalog.mapping_count(tid))
     return np.asarray(counts, dtype=int)
@@ -124,10 +123,9 @@ def build_decision_matrix(
     if on_empty not in ("drop", "error"):
         raise ValidationError(f"on_empty must be 'drop' or 'error', got {on_empty!r}")
     counts_all = mapping_counts(catalog, weights)
+    weighted_ids = weights.technique_ids()
 
-    empty = [
-        tid for tid, count in zip(weights.technique_ids(), counts_all) if count == 0
-    ]
+    empty = [tid for tid, count in zip(weighted_ids, counts_all) if count == 0]
     if empty:
         if on_empty == "error":
             raise CatalogError(
@@ -141,18 +139,15 @@ def build_decision_matrix(
 
     kept = [
         (tid, weight)
-        for tid, weight, count in zip(
-            weights.technique_ids(), weights.weights(), counts_all
-        )
+        for tid, weight, count in zip(weighted_ids, weights.weights(), counts_all)
         if count > 0
     ]
     technique_ids = tuple(tid for tid, _ in kept)
     weight_values = np.asarray([w for _, w in kept], dtype=float)
 
-    mapped = set(catalog.mappings)
     if effectiveness:
         for (mid, tid), value in effectiveness.items():
-            if (mid, tid) not in mapped:
+            if mid not in catalog.mitigations_for(tid):
                 raise ValidationError(
                     f"effectiveness override for unmapped pair ({mid}, {tid})"
                 )
@@ -161,20 +156,17 @@ def build_decision_matrix(
                     f"effectiveness for ({mid}, {tid}) must be in (0, 1], got {value}"
                 )
 
-    retained = set(technique_ids)
-    mitigation_ids = tuple(
-        sorted({mid for mid, tid in catalog.mappings if tid in retained})
-    )
+    columns = [catalog.mitigations_for(tid) for tid in technique_ids]
+    mitigation_ids = tuple(sorted({mid for column in columns for mid in column}))
     row_of = {mid: i for i, mid in enumerate(mitigation_ids)}
-    col_of = {tid: j for j, tid in enumerate(technique_ids)}
 
     shares = np.zeros((len(mitigation_ids), len(technique_ids)))
-    for mid, tid in catalog.mappings:
-        if tid in col_of:
+    for j, (tid, column) in enumerate(zip(technique_ids, columns)):
+        for mid in column:
             value = 1.0
             if effectiveness:
                 value = effectiveness.get((mid, tid), 1.0)
-            shares[row_of[mid], col_of[tid]] = value
+            shares[row_of[mid], j] = value
     column_totals = shares.sum(axis=0)
     coverage = shares / column_totals
 

@@ -204,19 +204,16 @@ def rank(scores: ScoreVector, matrix: DecisionMatrix) -> RankedPlan:
         range(len(scores.scores)),
         key=lambda i: (-round(scores.scores[i], TIE_DECIMALS), scores.mitigation_ids[i]),
     )
+    technique_ids = matrix.technique_ids
     entries = []
     for position, i in enumerate(order, start=1):
-        covered = tuple(
-            tid
-            for j, tid in enumerate(matrix.technique_ids)
-            if matrix.coverage[i, j] > 0
-        )
+        columns = np.flatnonzero(matrix.coverage[i] > 0).tolist()
         entries.append(
             PlanEntry(
                 rank=position,
                 mitigation_id=scores.mitigation_ids[i],
                 score=scores.scores[i],
-                covered_techniques=tuple(sorted(covered)),
+                covered_techniques=tuple(sorted(technique_ids[j] for j in columns)),
             )
         )
     return RankedPlan(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -44,9 +45,9 @@ class WeightVector:
         seen = set()
         for entry in self.entries:
             parse_technique_id(entry.technique_id)
-            if not entry.weight > 0:
+            if not 0 < entry.weight < math.inf:
                 raise ValidationError(
-                    f"weight for {entry.technique_id} must be positive, "
+                    f"weight for {entry.technique_id} must be finite and positive, "
                     f"got {entry.weight}"
                 )
             if entry.technique_id in seen:
@@ -73,8 +74,9 @@ def load_weights(data: bytes | str) -> WeightVector:
     """Parse a weights CSV with header ``no,score,tid,name``.
 
     The ``no`` column is presentational; the parsed vector is re-sorted
-    descending by score.  Non-positive scores, malformed technique IDs,
-    and duplicate techniques raise errors citing the data row number.
+    descending by score.  Non-positive or infinite scores, malformed
+    technique IDs, and duplicate techniques raise errors citing the data
+    row number.
     """
     if isinstance(data, bytes):
         try:
@@ -101,9 +103,10 @@ def load_weights(data: bytes | str) -> WeightVector:
             raise ParseError(
                 f"weights CSV row {rownum}: bad score {score_text!r}"
             ) from exc
-        if not score > 0:
+        if not 0 < score < math.inf:
             raise ParseError(
-                f"weights CSV row {rownum}: score must be positive, got {score}"
+                f"weights CSV row {rownum}: score must be finite and positive, "
+                f"got {score}"
             )
         try:
             parse_technique_id(tid)

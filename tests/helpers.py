@@ -50,3 +50,75 @@ def random_catalog_and_weights(rng, max_t=6, max_m=7):
         [WeightEntry(tid, float(rng.uniform(0.1, 3.0)), "") for tid in tids]
     )
     return catalog, weights
+
+
+# Name fragments that exercise every JSON string escape the canonical
+# catalog writer can meet: non-ASCII (BMP and astral), quote, backslash,
+# C0 control characters, DEL and the Unicode line separators.
+ODD_NAME_PARTS = (
+    "Scheduled Task",
+    "Tâche planifiée",
+    "計画タスク",
+    'say "hi"',
+    "back\\slash",
+    "tab\there",
+    "nul\x00bell\x07",
+    "esc\x1b[0m",
+    "line\nbreak\r",
+    "del\x7f",
+    "\u2028sep\u2029",
+    "lock \U0001f512",
+    "",
+)
+
+
+def _odd_name(rng, stem):
+    picks = rng.choice(len(ODD_NAME_PARTS), size=int(rng.integers(0, 3)))
+    return " ".join([stem] + [ODD_NAME_PARTS[int(k)] for k in picks])
+
+
+def enterprise_catalog_and_weights(seed=2024):
+    """Seeded catalog and weights the size of ATT&CK Enterprise.
+
+    ``random_catalog_and_weights`` scaled up: 800 techniques (200 parents,
+    600 sub-techniques), 45 mitigations and 1,600 distinct pairs drawn
+    with skewed mitigation popularity, so some techniques stay unmapped
+    and drop out of the decision matrix.  Names mix in
+    ``ODD_NAME_PARTS``; a few techniques are revoked or deprecated.
+    Weights cover every technique and are rounded so that some tie.
+    """
+    rng = np.random.default_rng(seed)
+    parents = [f"T{1000 + i}" for i in range(200)]
+    per_parent = np.bincount(rng.integers(0, 200, size=600), minlength=200)
+    tids = parents + [
+        f"{parents[p]}.{k:03d}"
+        for p in range(200)
+        for k in range(1, int(per_parent[p]) + 1)
+    ]
+    mids = [f"M{1000 + i}" for i in range(45)]
+    popularity = rng.gamma(1.5, size=len(mids))
+    mappings = set()
+    while len(mappings) < 1600:
+        rows = rng.choice(len(mids), size=256, p=popularity / popularity.sum())
+        cols = rng.integers(0, len(tids), size=256)
+        for i, j in zip(rows, cols):
+            if len(mappings) < 1600:
+                mappings.add((mids[int(i)], tids[int(j)]))
+    techniques = [
+        Technique(
+            tid,
+            _odd_name(rng, f"Technique {tid}"),
+            revoked=bool(rng.random() < 0.02),
+            deprecated=bool(rng.random() < 0.02),
+        )
+        for tid in tids
+    ]
+    mitigations = [Mitigation(mid, _odd_name(rng, f"Mitigation {mid}")) for mid in mids]
+    catalog = Catalog.from_parts(techniques, mitigations, mappings)
+    weights = WeightVector.from_entries(
+        [
+            WeightEntry(tid, round(float(rng.uniform(0.5, 20.0)), 2), "")
+            for tid in tids
+        ]
+    )
+    return catalog, weights

@@ -6,6 +6,7 @@ shared helpers, so an error in the library cannot cancel out here.
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -84,3 +85,24 @@ def oracle_trial_orders(m, trials, seed):
         key = np.array([seed, t], dtype=np.uint64)
         orders[t] = np.random.Generator(np.random.Philox(key=key)).permutation(m)
     return orders
+
+
+def oracle_dumps_catalog(catalog):
+    """Canonical catalog bytes as the standard library's JSON encoder
+    writes them: sorted keys, two-space indent, non-ASCII kept."""
+    doc = {
+        "schema_version": 1,
+        "techniques": [
+            {
+                "id": t.id,
+                "name": t.name,
+                "revoked": t.revoked,
+                "deprecated": t.deprecated,
+            }
+            for t in catalog.techniques
+        ],
+        "mitigations": [{"id": m.id, "name": m.name} for m in catalog.mitigations],
+        "mappings": [[mid, tid] for mid, tid in catalog.mappings],
+    }
+    text = json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False)
+    return (text + "\n").encode("utf-8")

@@ -62,6 +62,9 @@ def _mitigates(src_num, dst_num):
     }
 
 
+_ENTITY_DEFAULTS = {"name": "", "revoked": False, "x_mitre_deprecated": False}
+
+
 def _bundle(*objects):
     return {"type": "bundle", "id": "bundle--0", "objects": list(objects)}
 
@@ -109,6 +112,19 @@ class TestCatalogType:
             Catalog.from_parts(
                 [], [Mitigation("M1026", "")], [("M1026", "T1053")]
             )
+
+    @pytest.mark.parametrize("name", [7, ["x"], None, b"x"])
+    def test_non_string_name_rejected(self, name):
+        with pytest.raises(ValidationError, match="name"):
+            Technique("T1053", name)
+        with pytest.raises(ValidationError, match="name"):
+            Mitigation("M1026", name)
+
+    @pytest.mark.parametrize("flag", ["revoked", "deprecated"])
+    @pytest.mark.parametrize("value", [1, 0, "yes", None])
+    def test_non_bool_flag_rejected(self, flag, value):
+        with pytest.raises(ValidationError, match=flag):
+            Technique("T1053", "", **{flag: value})
 
     def test_lookups(self, v13_catalog):
         assert v13_catalog.has_technique("T1112")
@@ -200,6 +216,62 @@ class TestStixIngest:
     def test_malformed_object_names_index(self):
         with pytest.raises(ParseError, match="index 1"):
             parse_stix_bundle(_bundle(_technique(1, "T1053"), "not-an-object"))
+
+    @pytest.mark.parametrize(
+        "refs", [5, "mitre-attack", {"source_name": "mitre-attack"}]
+    )
+    def test_non_list_external_references_names_index(self, refs):
+        bad = _technique(2, "T1059")
+        bad["external_references"] = refs
+        with pytest.raises(ParseError, match="index 1: external_references"):
+            parse_stix_bundle(_bundle(_technique(1, "T1053"), bad))
+
+    def test_null_external_references_skipped(self):
+        bad = _technique(2, "T1059")
+        bad["external_references"] = None
+        catalog = parse_stix_bundle(_bundle(_technique(1, "T1053"), bad))
+        assert catalog.technique_ids() == ("T1053",)
+        assert catalog.meta.skipped_objects == 1
+
+    @pytest.mark.parametrize(
+        "prop, value",
+        [
+            ("name", 7),
+            ("name", ["x"]),
+            ("revoked", "yes"),
+            ("revoked", 1),
+            ("x_mitre_deprecated", 0),
+        ],
+    )
+    def test_wrong_field_type_skipped_with_warning(self, prop, value):
+        bad_technique = _technique(2, "T1059")
+        bad_technique[prop] = value
+        bad_mitigation = _mitigation(3, "M1038")
+        bad_mitigation[prop] = value
+        catalog = parse_stix_bundle(
+            _bundle(
+                _technique(1, "T1053"),
+                bad_technique,
+                bad_mitigation,
+                _mitigation(4, "M1026"),
+                _mitigates(4, 1),
+            ),
+            include_deprecated=True,
+        )
+        assert catalog.technique_ids() == ("T1053",)
+        assert catalog.mitigation_ids() == ("M1026",)
+        assert catalog.meta.skipped_objects == 2
+        kind = type(_ENTITY_DEFAULTS[prop]).__name__
+        assert catalog.meta.warnings == (
+            f"object 1: T1059: {prop} must be a {kind}, got {value!r}",
+            f"object 2: M1038: {prop} must be a {kind}, got {value!r}",
+        )
+
+    def test_null_fields_take_defaults(self):
+        obj = _technique(1, "T1053")
+        obj.update(name=None, revoked=None, x_mitre_deprecated=None)
+        catalog = parse_stix_bundle(_bundle(obj))
+        assert catalog.techniques == (Technique("T1053", ""),)
 
     def test_non_bundle_rejected(self):
         with pytest.raises(ParseError):
@@ -344,6 +416,46 @@ class TestPersistence:
         doc = json.loads(dumps_catalog(v13_catalog))
         del doc["mitigations"][0]["id"]
         with pytest.raises(ParseError):
+            loads_catalog(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "field, value, error",
+        [
+            ("name", ["x"], ValidationError),
+            ("name", 7, ValidationError),
+            ("revoked", "yes", ValidationError),
+            ("deprecated", 1, ValidationError),
+        ],
+    )
+    def test_technique_field_types_checked(self, v13_catalog, field, value, error):
+        doc = json.loads(dumps_catalog(v13_catalog))
+        doc["techniques"][0][field] = value
+        with pytest.raises(error, match=field):
+            loads_catalog(json.dumps(doc))
+
+    def test_mitigation_name_type_checked(self, v13_catalog):
+        doc = json.loads(dumps_catalog(v13_catalog))
+        doc["mitigations"][0]["name"] = {"en": "x"}
+        with pytest.raises(ValidationError, match="name"):
+            loads_catalog(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "pair",
+        [
+            [["M1026"], "T1053"],
+            ["M1026", "T1053", "X"],
+            ["M1026"],
+            [],
+            [1026, "T1053"],
+            "M1026,T1053",
+            {"M1026": "T1053"},
+            None,
+        ],
+    )
+    def test_mapping_must_be_a_pair_of_strings(self, v13_catalog, pair):
+        doc = json.loads(dumps_catalog(v13_catalog))
+        doc["mappings"][0] = pair
+        with pytest.raises(ParseError, match="mapping"):
             loads_catalog(json.dumps(doc))
 
     def test_hash_ignores_meta_and_tracks_content(self, v13_catalog):

@@ -179,6 +179,30 @@ class TestIngest:
         assert flat.technique_ids() == ("T1566", "T1566.001")
         assert flat.mappings == (("M1017", "T1566.001"),)
 
+    def test_stix_non_list_external_references_exits_1(self, tmp_path, capsys):
+        bundle = {
+            "type": "bundle",
+            "id": "bundle--0",
+            "objects": [
+                {"type": "identity", "id": "identity--1"},
+                {
+                    "type": "attack-pattern",
+                    "id": "attack-pattern--1",
+                    "name": "Phishing",
+                    "external_references": 5,
+                },
+            ],
+        }
+        bundle_path = tmp_path / "bundle.json"
+        bundle_path.write_text(json.dumps(bundle))
+        out = tmp_path / "never.json"
+        code = run(["ingest", "stix", "--bundle", str(bundle_path), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed bundle object at index 1")
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestMatrix:
     def test_export_layout(self, fixture_dir, capsysbinary):

@@ -1,0 +1,180 @@
+"""Byte-level goldens and oracles at ATT&CK Enterprise size.
+
+The catalog, matrix and plan outputs of the seeded Enterprise-size
+catalog are pinned by SHA-256, the canonical catalog writer is checked
+against the standard library's JSON encoder, and every index-backed
+``Catalog`` lookup is checked against a plain scan of ``mappings``.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import ODD_NAME_PARTS, enterprise_catalog_and_weights
+from oracles import oracle_dumps_catalog
+
+from mitiplan.catalog import (
+    Catalog,
+    Mitigation,
+    Technique,
+    dumps_catalog,
+    loads_catalog,
+    save_catalog,
+)
+from mitiplan.cli import run
+from mitiplan.matrix import build_decision_matrix, export_matrix_csv, mapping_counts
+from mitiplan.scoring import render_weights_csv
+
+CATALOG_SHA256 = "228a16e7371e3922c89cb862202ebd9967493c20496f174676fb7408e122b903"
+MATRIX_CSV_SHA256 = "86cdbbac7dd11ba1edc05043318c6b383ccf5b17c7147b91736f93b6bf4d11bd"
+PLAN_JSON_SHA256 = "73cd79e4f9346bd4a3d85316e0e80ecfd9cf39b874ed1b0ca2ec838f5af14437"
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def enterprise():
+    return enterprise_catalog_and_weights()
+
+
+def test_enterprise_catalog_shape(enterprise):
+    catalog, weights = enterprise
+    assert (len(catalog.techniques), len(catalog.mitigations)) == (800, 45)
+    assert len(catalog.mappings) == 1600
+    assert len(weights) == 800
+    assert any(t.revoked for t in catalog.techniques)
+    assert any(t.deprecated for t in catalog.techniques)
+    names = "".join(t.name for t in catalog.techniques)
+    names += "".join(m.name for m in catalog.mitigations)
+    for part in ODD_NAME_PARTS:
+        assert part in names
+
+
+def test_catalog_bytes_golden(enterprise):
+    catalog, _ = enterprise
+    data = dumps_catalog(catalog)
+    assert data == oracle_dumps_catalog(catalog)
+    assert _sha256(data) == CATALOG_SHA256
+
+
+def test_matrix_csv_golden(enterprise):
+    catalog, weights = enterprise
+    matrix = build_decision_matrix(catalog, weights)
+    assert matrix.shape == (43, 701)
+    assert len(matrix.dropped_techniques) == 99
+    assert _sha256(export_matrix_csv(matrix)) == MATRIX_CSV_SHA256
+
+
+def test_wsm_plan_json_golden(enterprise, tmp_path):
+    catalog, weights = enterprise
+    save_catalog(catalog, tmp_path / "catalog.json")
+    (tmp_path / "weights.csv").write_bytes(render_weights_csv(weights))
+    argv = [
+        "--timestamp",
+        "1700000000",
+        "rank",
+        "--catalog",
+        str(tmp_path / "catalog.json"),
+        "--weights",
+        str(tmp_path / "weights.csv"),
+        "--out",
+        str(tmp_path / "plan.json"),
+    ]
+    assert run(argv) == 0
+    assert _sha256((tmp_path / "plan.json").read_bytes()) == PLAN_JSON_SHA256
+
+
+_names = st.one_of(st.text(max_size=12), st.sampled_from(ODD_NAME_PARTS))
+
+
+@st.composite
+def _catalogs(draw):
+    tids = draw(
+        st.lists(
+            st.integers(1000, 1030).map(lambda k: f"T{k}"), unique=True, max_size=8
+        )
+    )
+    mids = draw(
+        st.lists(
+            st.integers(1000, 1020).map(lambda k: f"M{k}"), unique=True, max_size=6
+        )
+    )
+    techniques = [
+        Technique(
+            tid,
+            draw(_names),
+            revoked=draw(st.booleans()),
+            deprecated=draw(st.booleans()),
+        )
+        for tid in tids
+    ]
+    mitigations = [Mitigation(mid, draw(_names)) for mid in mids]
+    pairs = [(mid, tid) for mid in mids for tid in tids]
+    mappings = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Catalog.from_parts(techniques, mitigations, mappings)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_catalogs())
+def test_dumps_catalog_equals_json_module(catalog):
+    assert dumps_catalog(catalog) == oracle_dumps_catalog(catalog)
+
+
+def test_empty_catalog_equals_json_module():
+    empty = Catalog.from_parts([], [], [])
+    assert dumps_catalog(empty) == oracle_dumps_catalog(empty)
+    assert b'"mappings": [],' in dumps_catalog(empty)
+
+
+def _check_lookups_against_scan(catalog):
+    unknown_tids = ("T9999", "T9999.001")
+    for tid in catalog.technique_ids() + unknown_tids:
+        scanned = tuple(m for m, t in catalog.mappings if t == tid)
+        present = any(t.id == tid for t in catalog.techniques)
+        assert catalog.has_technique(tid) == present
+        assert catalog.mitigations_for(tid) == scanned
+        assert catalog.mapping_count(tid) == len(scanned)
+    for mid in catalog.mitigation_ids() + ("M9999",):
+        scanned = tuple(sorted(t for m, t in catalog.mappings if m == mid))
+        assert catalog.techniques_for(mid) == scanned
+
+
+def test_index_lookups_equal_scan(enterprise, v13_catalog):
+    _check_lookups_against_scan(enterprise[0])
+    _check_lookups_against_scan(v13_catalog)
+    _check_lookups_against_scan(Catalog.from_parts([], [], []))
+
+
+def test_indexes_stay_out_of_equality_and_hash(enterprise):
+    catalog = enterprise[0]
+    assert [f.name for f in dataclasses.fields(Catalog)] == [
+        "techniques",
+        "mitigations",
+        "mappings",
+        "meta",
+    ]
+    copy = loads_catalog(dumps_catalog(catalog))
+    assert copy == catalog and hash(copy) == hash(catalog)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_catalogs())
+def test_index_lookups_equal_scan_on_random_catalogs(catalog):
+    _check_lookups_against_scan(catalog)
+
+
+def test_mapping_counts_equal_scan(enterprise):
+    catalog, weights = enterprise
+    counts = mapping_counts(catalog, weights)
+    expected = [
+        sum(1 for _, t in catalog.mappings if t == tid)
+        for tid in weights.technique_ids()
+    ]
+    assert counts.tolist() == expected

@@ -52,6 +52,15 @@ class TestWeights:
         with pytest.raises((ParseError, ValidationError)):
             load_weights("no,score,tid,name\n1,0,T1053,x\n")
 
+    @pytest.mark.parametrize("score", ["inf", "-inf", "nan", "1e400"])
+    def test_rejects_non_finite_weight_citing_row(self, score):
+        with pytest.raises(ParseError, match="row 2: score must be finite"):
+            load_weights(f"no,score,tid,name\n1,2.0,T1053,x\n2,{score},T1059,y\n")
+
+    def test_direct_construction_rejects_infinite_weight(self):
+        with pytest.raises(ValidationError, match="finite"):
+            WeightVector.from_entries([WeightEntry("T1053", float("inf"), "")])
+
     def test_rejects_duplicate_technique(self):
         with pytest.raises((ParseError, ValidationError)):
             load_weights("no,score,tid,name\n1,2.0,T1053,x\n2,1.0,T1053,y\n")
