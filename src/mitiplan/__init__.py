@@ -56,7 +56,6 @@ from .simulator import (
     MonteCarloSummary,
     SimulationResult,
     compare_orders,
-    kernel_backend,
     random_baseline,
     simulate_campaign,
 )
@@ -92,7 +91,6 @@ __all__ = [
     "compare_orders",
     "cvss_exploitability",
     "export_matrix_csv",
-    "kernel_backend",
     "load_catalog",
     "load_weights",
     "parse_mapping_csv",

@@ -1,12 +1,18 @@
-"""Batch steps-to-block kernel, pure-Python variant.
+"""Batch steps-to-block kernel for the Monte Carlo baseline.
 
-Import fallback for environments where the compiled extension did not
-build.  Must stay semantically identical to _mcsim.pyx; both operate on
-integers only, so results are bit-for-bit interchangeable.
+Works from order statistics instead of walking each order step by step:
+a technique is blocked at the step that applies its `threshold`-th
+covering mitigation, which is the `threshold`-th smallest position of
+its covering rows in the order, and a trial blocks at the latest of its
+techniques.  All arithmetic is on integers, so results are exact.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
+# Trials handled per pass.  Scratch memory grows with this, not with the
+# trial count.
 _ROW_BLOCK = 1024
 
 
@@ -18,32 +24,25 @@ def steps_to_block_batch(orders, covers, threshold, out):
     orders: (trials, m) permutations of row indices into covers.
     covers: (m, t) 0/1 incidence of mitigation rows over techniques.
     """
-    trials = orders.shape[0]
-    t = covers.shape[1]
-    # Precompute covered-column lists per row; the hot loop then touches
-    # only columns a mitigation actually covers.
-    cover_cols = [
-        [j for j in range(t) if covers[row, j]] for row in range(covers.shape[0])
-    ]
+    trials, m = orders.shape
     threshold = int(threshold)
-    # Convert orders to lists a block of rows at a time, so the Python
-    # copy stays a fixed size whatever the trial count.
+    covering = [np.flatnonzero(column) for column in np.asarray(covers).T]
+    if not covering or any(rows.size < threshold for rows in covering):
+        out[:] = -1
+        return
+    steps = np.arange(1, m + 1, dtype=np.int32)
+    positions = np.empty((min(trials, _ROW_BLOCK), m), dtype=np.int32)
     for first in range(0, trials, _ROW_BLOCK):
-        block = orders[first : first + _ROW_BLOCK].tolist()
-        for k, order in enumerate(block, start=first):
-            counts = [0] * t
-            blocked = 0
-            result = -1
-            for step, row in enumerate(order, start=1):
-                for j in cover_cols[row]:
-                    if counts[j] < threshold:
-                        counts[j] += 1
-                        if counts[j] == threshold:
-                            blocked += 1
-                if blocked == t:
-                    result = step
-                    break
-            if t == 0:
-                result = -1
-            out[k] = result
-    return None
+        block = orders[first : first + _ROW_BLOCK]
+        # positions[k, row] = the step at which trial k applies `row`.
+        pos = positions[: block.shape[0]]
+        np.put_along_axis(pos, block, steps, axis=1)
+        blocked_at = np.zeros(block.shape[0], dtype=np.int32)
+        for rows in covering:
+            cover_steps = pos[:, rows]
+            if threshold == 1:
+                step = cover_steps.min(axis=1)
+            else:
+                step = np.partition(cover_steps, threshold - 1, axis=1)[:, threshold - 1]
+            np.maximum(blocked_at, step, out=blocked_at)
+        out[first : first + block.shape[0]] = blocked_at

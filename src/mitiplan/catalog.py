@@ -19,20 +19,22 @@ from .errors import CatalogError, ParseError, SchemaVersionError, ValidationErro
 
 CATALOG_SCHEMA_VERSION = 1
 
-_TECHNIQUE_ID_RE = re.compile(r"^T\d{4}(?:\.\d{3})?$")
-_MITIGATION_ID_RE = re.compile(r"^M\d{4}$")
+# ASCII digits only, matched against the whole string: `\d` also takes
+# other scripts' digits and `$` a trailing newline.
+_TECHNIQUE_ID_RE = re.compile(r"T[0-9]{4}(?:\.[0-9]{3})?")
+_MITIGATION_ID_RE = re.compile(r"M[0-9]{4}")
 
 
 def parse_technique_id(value: str) -> str:
     """Validate a technique ID (``T1053`` or sub-technique ``T1053.005``)."""
-    if not isinstance(value, str) or not _TECHNIQUE_ID_RE.match(value):
+    if not isinstance(value, str) or not _TECHNIQUE_ID_RE.fullmatch(value):
         raise ValidationError(f"invalid technique ID: {value!r}")
     return value
 
 
 def parse_mitigation_id(value: str) -> str:
     """Validate a mitigation ID (``M1047``)."""
-    if not isinstance(value, str) or not _MITIGATION_ID_RE.match(value):
+    if not isinstance(value, str) or not _MITIGATION_ID_RE.fullmatch(value):
         raise ValidationError(f"invalid mitigation ID: {value!r}")
     return value
 
@@ -54,6 +56,19 @@ def _check_type(entity_id: str, field_name: str, value, kind: type) -> None:
         )
 
 
+def _check_name(entity_id: str, name) -> None:
+    """A name must be a str that UTF-8 can encode (no lone surrogates),
+    because catalogs and plans are written as UTF-8."""
+    _check_type(entity_id, "name", name, str)
+    try:
+        name.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ValidationError(
+            f"{entity_id}: name is not encodable as UTF-8 "
+            f"({exc.reason} at index {exc.start})"
+        ) from None
+
+
 @dataclass(frozen=True)
 class Technique:
     id: str
@@ -63,7 +78,7 @@ class Technique:
 
     def __post_init__(self):
         parse_technique_id(self.id)
-        _check_type(self.id, "name", self.name, str)
+        _check_name(self.id, self.name)
         _check_type(self.id, "revoked", self.revoked, bool)
         _check_type(self.id, "deprecated", self.deprecated, bool)
 
@@ -75,7 +90,7 @@ class Mitigation:
 
     def __post_init__(self):
         parse_mitigation_id(self.id)
-        _check_type(self.id, "name", self.name, str)
+        _check_name(self.id, self.name)
 
 
 @dataclass(frozen=True)
@@ -223,6 +238,7 @@ def _entity_fields(obj: dict, attack_id: str) -> tuple[str, bool, bool]:
             value = default
         _check_type(attack_id, prop, value, kind)
         values.append(value)
+    _check_name(attack_id, values[0])
     return tuple(values)
 
 

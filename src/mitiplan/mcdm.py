@@ -86,17 +86,9 @@ class RankedPlan:
         )
 
 
-def wsm_scores(matrix: DecisionMatrix, double_weighted: bool = False) -> ScoreVector:
-    """Weighted-sum score: the row sum of weighted cells.
-
-    ``double_weighted`` is an audit variant that multiplies the already
-    weighted cells by the technique weights a second time; it does not
-    reproduce the reference totals and is off by default.
-    """
-    cells = matrix.weighted()
-    if double_weighted:
-        cells = cells * matrix.weights
-    scores = cells.sum(axis=1)
+def wsm_scores(matrix: DecisionMatrix) -> ScoreVector:
+    """Weighted-sum score: the row sum of weighted cells."""
+    scores = matrix.weighted().sum(axis=1)
     return ScoreVector(
         method="wsm",
         mitigation_ids=matrix.mitigation_ids,

@@ -12,11 +12,11 @@ regardless of evaluation order.
 from __future__ import annotations
 
 import numbers
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _mcsim_py as _kernel
 from .catalog import (
     Catalog,
     is_subtechnique,
@@ -27,15 +27,6 @@ from .catalog import (
 from .errors import SimulationError, ValidationError
 from .mcdm import RankedPlan
 
-# Compiled kernel when the extension built, pure-Python twin otherwise.
-# MITIPLAN_KERNEL=python forces the fallback (debugging, benchmarks).
-if os.environ.get("MITIPLAN_KERNEL") == "python":
-    from . import _mcsim_py as _kernel
-else:
-    try:
-        from . import _mcsim as _kernel  # type: ignore[no-redef]
-    except ImportError:
-        from . import _mcsim_py as _kernel
 
 MAX_SEED = 2**64 - 1
 
@@ -44,11 +35,6 @@ def _is_integer(value) -> bool:
     """True for Python and NumPy integers; bool is an int subclass but
     never a count or a seed."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def kernel_backend() -> str:
-    """Active steps-to-block kernel: "compiled" or "python"."""
-    return "python" if _kernel.__name__.endswith("_py") else "compiled"
 
 
 @dataclass(frozen=True)

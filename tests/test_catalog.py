@@ -22,7 +22,13 @@ from mitiplan.catalog import (
     parse_technique_id,
     save_catalog,
 )
-from mitiplan.errors import CatalogError, ParseError, SchemaVersionError, ValidationError
+from mitiplan.errors import (
+    CatalogError,
+    MitiplanError,
+    ParseError,
+    SchemaVersionError,
+    ValidationError,
+)
 
 
 def _technique(num, attack_id, name="", revoked=False, deprecated=False):
@@ -74,7 +80,19 @@ class TestIds:
         assert parse_technique_id("T1053") == "T1053"
         assert parse_technique_id("T1053.005") == "T1053.005"
 
-    @pytest.mark.parametrize("bad", ["T105", "T10533", "M1026", "T1053.05", "t1053", ""])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            "T105",
+            "T10533",
+            "M1026",
+            "T1053.05",
+            "t1053",
+            "",
+            "T1053\n",
+            "T\u0661\u0660\u0665\u0663",
+        ],
+    )
     def test_parse_technique_id_rejects(self, bad):
         with pytest.raises(ValidationError):
             parse_technique_id(bad)
@@ -82,7 +100,9 @@ class TestIds:
     def test_parse_mitigation_id(self):
         assert parse_mitigation_id("M1026") == "M1026"
 
-    @pytest.mark.parametrize("bad", ["M102", "M10266", "T1053", "m1026", ""])
+    @pytest.mark.parametrize(
+        "bad", ["M102", "M10266", "T1053", "m1026", "", "M1026\n", "M\u0661\u0660\u0662\u0666"]
+    )
     def test_parse_mitigation_id_rejects(self, bad):
         with pytest.raises(ValidationError):
             parse_mitigation_id(bad)
@@ -119,6 +139,12 @@ class TestCatalogType:
             Technique("T1053", name)
         with pytest.raises(ValidationError, match="name"):
             Mitigation("M1026", name)
+
+    def test_unencodable_name_rejected(self):
+        with pytest.raises(ValidationError, match="T1053: name is not encodable as UTF-8"):
+            Technique("T1053", "x\ud800")
+        with pytest.raises(ValidationError, match="M1026: name is not encodable as UTF-8"):
+            Mitigation("M1026", "\udfff")
 
     @pytest.mark.parametrize("flag", ["revoked", "deprecated"])
     @pytest.mark.parametrize("value", [1, 0, "yes", None])
@@ -265,6 +291,22 @@ class TestStixIngest:
         assert catalog.meta.warnings == (
             f"object 1: T1059: {prop} must be a {kind}, got {value!r}",
             f"object 2: M1038: {prop} must be a {kind}, got {value!r}",
+        )
+
+    def test_unencodable_name_skipped_with_warning(self):
+        bundle = _bundle(
+            _technique(1, "T1053"),
+            _technique(2, "T1059", name="x\ud800"),
+            _mitigation(3, "M1026", name="\ud800"),
+        )
+        catalog = parse_stix_bundle(json.dumps(bundle))
+        assert catalog.technique_ids() == ("T1053",)
+        assert catalog.mitigation_ids() == ()
+        assert catalog.meta.skipped_objects == 2
+        reason = "name is not encodable as UTF-8 (surrogates not allowed at index"
+        assert catalog.meta.warnings == (
+            f"object 1: T1059: {reason} 1)",
+            f"object 2: M1026: {reason} 0)",
         )
 
     def test_null_fields_take_defaults(self):
@@ -432,6 +474,13 @@ class TestPersistence:
         doc["techniques"][0][field] = value
         with pytest.raises(error, match=field):
             loads_catalog(json.dumps(doc))
+
+    def test_unencodable_name_escape_rejected(self, v13_catalog):
+        text = dumps_catalog(v13_catalog).decode("utf-8")
+        first_name = '"name": "'
+        text = text.replace(first_name, first_name + "\\ud800", 1)
+        with pytest.raises(MitiplanError, match="name is not encodable as UTF-8"):
+            loads_catalog(text)
 
     def test_mitigation_name_type_checked(self, v13_catalog):
         doc = json.loads(dumps_catalog(v13_catalog))

@@ -204,6 +204,31 @@ class TestIngest:
         assert not out.exists()
 
 
+    def test_stix_unencodable_name_skipped(self, tmp_path, capsys):
+        bundle = {
+            "type": "bundle",
+            "id": "bundle--0",
+            "objects": [
+                {
+                    "type": "attack-pattern",
+                    "id": f"attack-pattern--{num}",
+                    "name": name,
+                    "external_references": [
+                        {"source_name": "mitre-attack", "external_id": tid}
+                    ],
+                }
+                for num, tid, name in ((1, "T1566", "Phishing"), (2, "T1059", "x\ud800"))
+            ],
+        }
+        bundle_path = tmp_path / "bundle.json"
+        bundle_path.write_text(json.dumps(bundle))
+        out = tmp_path / "catalog.json"
+        code = run(["ingest", "stix", "--bundle", str(bundle_path), "--out", str(out)])
+        assert code == 0
+        assert "Traceback" not in capsys.readouterr().err
+        assert load_catalog(out).technique_ids() == ("T1566",)
+
+
 class TestMatrix:
     def test_export_layout(self, fixture_dir, capsysbinary):
         code = run(
@@ -282,6 +307,23 @@ class TestRank:
         code = run(_rank_args(fixture_dir, "--top", "0", "--out", str(tmp_path / "p.json")))
         assert code == 1
         assert "--top" in capsys.readouterr().err
+
+    def test_unencodable_catalog_name_exits_1(self, fixture_dir, capsys):
+        path = fixture_dir / "paper_v13_catalog.json"
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text.replace('"name": "', '"name": "\\ud800', 1), encoding="utf-8")
+        assert run(_rank_args(fixture_dir, "--out", "-")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "name is not encodable as UTF-8" in err
+
+    def test_weights_id_with_non_ascii_digits_exits_1(self, fixture_dir, capsys):
+        path = fixture_dir / "paper_v13_weights.csv"
+        text = path.read_text(encoding="utf-8")
+        arabic_indic = ",T\u0661\u0660\u0665\u0663,"
+        path.write_text(text.replace(",T1053,", arabic_indic, 1), encoding="utf-8")
+        assert run(_rank_args(fixture_dir, "--out", "-")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: weights CSV row 1: invalid technique ID")
 
     def test_missing_catalog_file(self, fixture_dir, tmp_path, capsys):
         code = run(

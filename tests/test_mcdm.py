@@ -61,15 +61,11 @@ class TestWsm:
         )
 
     def test_double_weighted_variant(self, v13_matrix):
-        audit = wsm_scores(v13_matrix, double_weighted=True).scores
-        expected = oracle_wsm_double(
-            v13_matrix.coverage.tolist(), v13_matrix.weights.tolist()
-        )
-        assert audit == pytest.approx(expected, abs=1e-9)
-        # The literal double-weighted form does not reproduce the
-        # published totals; that is why it sits behind a flag.
-        default = wsm_scores(v13_matrix).scores
-        assert not np.allclose(audit, default)
+        # The literal double-weighted form (weighted cells times the
+        # weights again) does not reproduce the published totals, which is
+        # why wsm_scores weights each cell once.
+        double = oracle_wsm_double(v13_matrix.coverage.tolist(), v13_matrix.weights.tolist())
+        assert not np.allclose(double, wsm_scores(v13_matrix).scores)
 
     def test_empty_matrix(self):
         matrix = _matrix(np.zeros((0, 0)), np.zeros(0), mids=(), tids=())

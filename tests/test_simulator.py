@@ -1,15 +1,13 @@
 from __future__ import annotations
 
 import hashlib
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mitiplan import _mcsim_py
 from mitiplan.catalog import Catalog, Mitigation, Technique
 from mitiplan.errors import SimulationError, ValidationError
 from mitiplan.matrix import build_decision_matrix
@@ -21,7 +19,6 @@ from mitiplan.simulator import (
     MonteCarloSummary,
     SimulationResult,
     compare_orders,
-    kernel_backend,
     random_baseline,
     resolve_campaign,
     simulate_campaign,
@@ -380,34 +377,84 @@ class TestRandomBaseline:
         assert summary == random_baseline(v13_catalog, campaign, 50, MAX_SEED)
 
 
-class TestKernels:
-    def test_backend_reported(self):
-        assert kernel_backend() in ("compiled", "python")
+def _oracle_batch(orders, covers, threshold):
+    """Kernel output computed by `oracle_steps_to_block`, one trial at a
+    time; a batch with no techniques never counts as blocked."""
+    techniques = range(covers.shape[1])
+    if not techniques:
+        return [-1] * orders.shape[0]
+    cover_sets = {row: set(np.flatnonzero(cover).tolist()) for row, cover in enumerate(covers)}
+    steps = (
+        oracle_steps_to_block(order, cover_sets, techniques, threshold)
+        for order in orders.tolist()
+    )
+    return [-1 if step is None else step for step in steps]
 
-    def test_compiled_and_python_kernels_agree(self):
-        compiled = pytest.importorskip("mitiplan._mcsim")
-        from mitiplan import _mcsim_py
 
-        rng = np.random.default_rng(606)
-        for _ in range(25):
-            m = int(rng.integers(1, 12))
-            t = int(rng.integers(1, 6))
-            covers = (rng.random((m, t)) < 0.4).astype(np.uint8)
-            orders = trial_orders(m, 30, seed=int(rng.integers(0, 1000)))
-            threshold = int(rng.integers(1, 3))
-            out_c = np.empty(30, dtype=np.int64)
-            out_p = np.empty(30, dtype=np.int64)
-            compiled.steps_to_block_batch(orders, covers, threshold, out_c)
-            _mcsim_py.steps_to_block_batch(orders, covers, threshold, out_p)
-            assert np.array_equal(out_c, out_p)
+def _run_kernel(orders, covers, threshold):
+    out = np.full(orders.shape[0], -7, dtype=np.int64)
+    _mcsim_py.steps_to_block_batch(orders, covers, threshold, out)
+    return out.tolist()
 
-    def test_python_kernel_rows_independent_of_batch(self):
-        # The pure kernel converts orders a block of rows at a time; a
-        # batch spanning several blocks must match row-by-row calls.
-        from mitiplan import _mcsim_py
 
-        rng = np.random.default_rng(607)
-        covers = (rng.random((9, 3)) < 0.4).astype(np.uint8)
+def _random_covers(m, t, seed, density=0.4):
+    return (np.random.default_rng(seed).random((m, t)) < density).astype(np.uint8)
+
+
+class TestKernel:
+    @pytest.mark.parametrize("threshold", [1, 2, 3])
+    @pytest.mark.parametrize("m", [0, 1, 2, 18])
+    def test_matches_oracle(self, m, threshold):
+        covers = _random_covers(m, 3, seed=m, density=0.6)
+        orders = trial_orders(m, 60, seed=threshold)
+        expected = _oracle_batch(orders, covers, threshold)
+        assert _run_kernel(orders, covers, threshold) == expected
+
+    @pytest.mark.parametrize(
+        "case",
+        ["no techniques", "uncovered technique", "threshold above every cover count"],
+    )
+    def test_unblockable_batches(self, case):
+        covers = np.ones((6, 3), dtype=np.uint8)
+        threshold = 2
+        if case == "no techniques":
+            covers = covers[:, :0]
+        elif case == "uncovered technique":
+            covers[:, 1] = 0
+        else:
+            covers[3:] = 0
+            threshold = 4
+        orders = trial_orders(6, 20, seed=3)
+        assert _run_kernel(orders, covers, threshold) == [-1] * 20
+        assert _oracle_batch(orders, covers, threshold) == [-1] * 20
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_matches_oracle_at_block_boundaries(self, extra):
+        trials = _mcsim_py._ROW_BLOCK + extra
+        covers = _random_covers(9, 3, seed=8)
+        orders = trial_orders(9, trials, seed=extra + 1)
+        assert _run_kernel(orders, covers, 2) == _oracle_batch(orders, covers, 2)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        m=st.integers(0, 12),
+        t=st.integers(0, 4),
+        trials=st.integers(0, 30),
+        threshold=st.integers(1, 4),
+        seed=st.integers(0, MAX_SEED),
+        data=st.data(),
+    )
+    def test_matches_oracle_property(self, m, t, trials, threshold, seed, data):
+        flags = data.draw(st.lists(st.booleans(), min_size=m * t, max_size=m * t))
+        covers = np.array(flags, dtype=np.uint8).reshape(m, t)
+        orders = trial_orders(m, trials, seed)
+        expected = _oracle_batch(orders, covers, threshold)
+        assert _run_kernel(orders, covers, threshold) == expected
+
+    def test_rows_independent_of_batch(self):
+        # The kernel works a block of rows at a time in a reused buffer;
+        # a batch spanning several blocks must match row-by-row calls.
+        covers = _random_covers(9, 3, seed=607)
         orders = trial_orders(9, 2 * _mcsim_py._ROW_BLOCK + 3, seed=5)
         batch = np.empty(orders.shape[0], dtype=np.int64)
         _mcsim_py.steps_to_block_batch(orders, covers, 2, batch)
@@ -415,17 +462,6 @@ class TestKernels:
         for k, order in enumerate(orders):
             _mcsim_py.steps_to_block_batch(order[None], covers, 2, single)
             assert batch[k] == single[0]
-
-    def test_env_var_forces_python_backend(self):
-        env = dict(os.environ, MITIPLAN_KERNEL="python")
-        proc = subprocess.run(
-            [sys.executable, "-c", "import mitiplan; print(mitiplan.kernel_backend())"],
-            capture_output=True,
-            text=True,
-            env=env,
-            check=True,
-        )
-        assert proc.stdout.strip() == "python"
 
 
 class TestCompareOrders:
