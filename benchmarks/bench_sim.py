@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
-"""Benchmark the pipeline stages: catalog → matrix → rank, trial-order
+"""Benchmark the pipeline stages: ingest → matrix → rank, trial-order
 generation and the steps-to-block kernel.
 
-The catalog stages (decision-matrix build, canonical catalog dump, and
-rank) run on the seeded Enterprise-size catalog from
-``tests/helpers.enterprise_catalog_and_weights``.  The kernel runs on
+The ingest stages (STIX bundle parse, canonical catalog load, weights
+CSV load) and the catalog stages (decision-matrix build, canonical
+catalog dump, and rank) run on the seeded Enterprise-size catalog from
+``tests/helpers.enterprise_catalog_and_weights``, the STIX parse on its
+bundle from ``tests/helpers.enterprise_stix_bundle``.  The kernel runs on
 three cases: the paper_v13 reference campaign and two synthetic cover
 matrices with block thresholds 2 and 3.  Every timing is the best-of-N
 wall-clock time.
@@ -25,14 +27,15 @@ from pathlib import Path
 import numpy as np
 
 from mitiplan import _mcsim_py
-from mitiplan.catalog import dumps_catalog
+from mitiplan.catalog import dumps_catalog, loads_catalog, parse_stix_bundle
 from mitiplan.fixtures import paper_v13_catalog
 from mitiplan.matrix import build_decision_matrix
 from mitiplan.mcdm import rank, wsm_scores
+from mitiplan.scoring import load_weights, render_weights_csv
 from mitiplan.simulator import Campaign, _cover_matrix, resolve_campaign, trial_orders
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
-from helpers import enterprise_catalog_and_weights  # noqa: E402
+from helpers import enterprise_catalog_and_weights, enterprise_stix_bundle  # noqa: E402
 
 
 def _reference_case():
@@ -59,10 +62,19 @@ def _best_ms(func, repeat):
 
 def _catalog_stages(repeat):
     catalog, weights = enterprise_catalog_and_weights()
+    bundle = enterprise_stix_bundle()
+    catalog_json = dumps_catalog(catalog)
+    weights_csv = render_weights_csv(weights)
     logging.disable(logging.WARNING)  # the dropped-technique warning
     matrix = build_decision_matrix(catalog, weights)
     scores = wsm_scores(matrix)
     timings = {
+        "STIX parse": _best_ms(lambda: parse_stix_bundle(bundle), repeat),
+        "STIX parse, no collapse": _best_ms(
+            lambda: parse_stix_bundle(bundle, collapse=False), repeat
+        ),
+        "catalog load": _best_ms(lambda: loads_catalog(catalog_json), repeat),
+        "weights load": _best_ms(lambda: load_weights(weights_csv), repeat),
         "matrix build": _best_ms(lambda: build_decision_matrix(catalog, weights), repeat),
         "catalog dump": _best_ms(lambda: dumps_catalog(catalog), repeat),
         "rank": _best_ms(lambda: rank(scores, matrix), repeat),

@@ -60,6 +60,8 @@ def _check_name(entity_id: str, name) -> None:
     """A name must be a str that UTF-8 can encode (no lone surrogates),
     because catalogs and plans are written as UTF-8."""
     _check_type(entity_id, "name", name, str)
+    if name.isascii():
+        return
     try:
         name.encode("utf-8")
     except UnicodeEncodeError as exc:
@@ -188,16 +190,15 @@ def collapse_subtechniques(catalog: Catalog) -> Catalog:
     parent, and duplicates arising from the fold are dropped.  Collapsing
     an already collapsed catalog is a no-op.
     """
-    by_id = {t.id: t for t in catalog.techniques}
+    # A catalog's IDs are valid already: the parent is the part before ".".
     techniques: dict[str, Technique] = {}
     for tech in catalog.techniques:
-        if is_subtechnique(tech.id):
-            parent_id = parent_technique(tech.id)
-            if parent_id not in by_id:
-                techniques.setdefault(parent_id, Technique(id=parent_id))
-        else:
-            techniques[tech.id] = tech
-    mappings = {(mid, parent_technique(tid)) for mid, tid in catalog.mappings}
+        parent_id, dot, _ = tech.id.partition(".")
+        if not dot:
+            techniques[tech.id] = tech  # replaces a stand-in made below
+        elif parent_id not in techniques:
+            techniques[parent_id] = Technique(id=parent_id)
+    mappings = {(mid, tid.partition(".")[0]) for mid, tid in catalog.mappings}
     return Catalog.from_parts(
         techniques.values(), catalog.mitigations, mappings, meta=catalog.meta
     )
@@ -230,7 +231,11 @@ _ENTITY_FIELDS = (
 
 
 def _entity_fields(obj: dict, attack_id: str) -> tuple[str, bool, bool]:
-    """An object's name and revoked/deprecated flags, type-checked."""
+    """An object's name and revoked/deprecated flags, type-checked.
+
+    The revoked/deprecated filter runs on these before the entity is
+    built, so they are checked here; the ID is left to the constructor.
+    """
     values = []
     for prop, kind, default in _ENTITY_FIELDS:
         value = obj.get(prop)
@@ -240,6 +245,25 @@ def _entity_fields(obj: dict, attack_id: str) -> tuple[str, bool, bool]:
         values.append(value)
     _check_name(attack_id, values[0])
     return tuple(values)
+
+
+def _ref(rel: dict, prop: str, index: int) -> str | None:
+    """A relationship endpoint: a STIX ID string, or None when absent or
+    null (resolution then counts the relationship as dangling)."""
+    ref = rel.get(prop)
+    if ref is not None and not isinstance(ref, str):
+        raise ParseError(
+            f"malformed bundle object at index {index}: {prop} must be a string"
+        )
+    return ref
+
+
+def _first_by_id(entities) -> tuple:
+    """The first entity of each ID, sorted by ID."""
+    by_id = {}
+    for entity in entities:
+        by_id.setdefault(entity.id, entity)
+    return tuple(by_id[key] for key in sorted(by_id))
 
 
 def parse_stix_bundle(
@@ -275,18 +299,27 @@ def parse_stix_bundle(
     techniques: dict[str, Technique] = {}  # stix id -> entity
     mitigations: dict[str, Mitigation] = {}
     dropped: set[str] = set()  # stix ids dropped by the revoked/deprecated filter
-    relationships: list[tuple[int, dict]] = []
+    mitigates: list[tuple[int, str | None, str | None]] = []  # (index, source, target)
     skipped = 0
     warnings: list[str] = []
 
     for index, obj in enumerate(objects):
-        if not isinstance(obj, dict) or not isinstance(obj.get("type"), str):
+        obj_type = obj.get("type") if isinstance(obj, dict) else None
+        if not isinstance(obj_type, str):
             raise ParseError(f"malformed bundle object at index {index}")
-        obj_type = obj["type"]
         if obj_type == "relationship":
-            relationships.append((index, obj))
+            if obj.get("relationship_type") != "mitigates":
+                skipped += 1
+                continue
+            source = _ref(obj, "source_ref", index)
+            target = _ref(obj, "target_ref", index)
+            mitigates.append((index, source, target))
             continue
-        if obj_type not in ("attack-pattern", "course-of-action"):
+        if obj_type == "attack-pattern":
+            entities = techniques
+        elif obj_type == "course-of-action":
+            entities = mitigations
+        else:
             skipped += 1
             continue
         stix_id = obj.get("id")
@@ -305,30 +338,19 @@ def parse_stix_bundle(
         if (revoked or deprecated) and not include_deprecated:
             dropped.add(stix_id)
             continue
+        # The fields are valid, so the constructor can only reject the ID.
         try:
-            if obj_type == "attack-pattern":
-                techniques[stix_id] = Technique(
-                    id=parse_technique_id(attack_id),
-                    name=name,
-                    revoked=revoked,
-                    deprecated=deprecated,
-                )
+            if entities is techniques:
+                entities[stix_id] = Technique(attack_id, name, revoked, deprecated)
             else:
-                mitigations[stix_id] = Mitigation(
-                    id=parse_mitigation_id(attack_id), name=name
-                )
+                entities[stix_id] = Mitigation(attack_id, name)
         except ValidationError:
             skipped += 1
             warnings.append(f"object {index}: unrecognized ATT&CK ID {attack_id!r}")
 
     mappings: set[tuple[str, str]] = set()
     dangling = 0
-    for index, rel in relationships:
-        if rel.get("relationship_type") != "mitigates":
-            skipped += 1
-            continue
-        source = rel.get("source_ref")
-        target = rel.get("target_ref")
+    for index, source, target in mitigates:
         if source in dropped or target in dropped:
             continue  # endpoint filtered out together with its mappings
         mitigation = mitigations.get(source)
@@ -341,17 +363,10 @@ def parse_stix_bundle(
 
     # Distinct STIX objects can carry the same ATT&CK ID (re-released
     # entities); keep the first occurrence of each ID.
-    uniq_techniques: dict[str, Technique] = {}
-    for tech in techniques.values():
-        uniq_techniques.setdefault(tech.id, tech)
-    uniq_mitigations: dict[str, Mitigation] = {}
-    for mit in mitigations.values():
-        uniq_mitigations.setdefault(mit.id, mit)
-
-    catalog = Catalog.from_parts(
-        uniq_techniques.values(),
-        uniq_mitigations.values(),
-        mappings,
+    catalog = Catalog(
+        techniques=_first_by_id(techniques.values()),
+        mitigations=_first_by_id(mitigations.values()),
+        mappings=tuple(sorted(mappings)),
         meta=IngestStats(
             skipped_objects=skipped,
             dangling_refs=dangling,
@@ -523,15 +538,15 @@ def loads_catalog(data: bytes | str) -> Catalog:
     try:
         techniques = [
             Technique(
-                id=entry["id"],
-                name=entry.get("name", ""),
-                revoked=entry.get("revoked", False),
-                deprecated=entry.get("deprecated", False),
+                entry["id"],
+                entry.get("name", ""),
+                entry.get("revoked", False),
+                entry.get("deprecated", False),
             )
             for entry in doc.get("techniques", [])
         ]
         mitigations = [
-            Mitigation(id=entry["id"], name=entry.get("name", ""))
+            Mitigation(entry["id"], entry.get("name", ""))
             for entry in doc.get("mitigations", [])
         ]
         mappings = []

@@ -9,6 +9,7 @@ scoring formulas, and emit the bundled reference fixtures.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import sys
@@ -60,12 +61,30 @@ def _load_weights_file(path: str):
     return load_weights(Path(path).read_bytes())
 
 
+def _log_ingest(catalog) -> None:
+    """One INFO line of ingest counts (-v), then each warning at DEBUG (-vv)."""
+    meta = catalog.meta
+    log.info(
+        "ingested %d techniques, %d mitigations, %d mappings; "
+        "skipped %d objects, %d dangling relationships, %d warnings",
+        len(catalog.techniques),
+        len(catalog.mitigations),
+        len(catalog.mappings),
+        meta.skipped_objects,
+        meta.dangling_refs,
+        len(meta.warnings),
+    )
+    for warning in meta.warnings:
+        log.debug("ingest warning: %s", warning)
+
+
 def _cmd_ingest_stix(args: argparse.Namespace) -> int:
     catalog = parse_stix_bundle(
         Path(args.bundle).read_bytes(),
         collapse=not args.no_collapse,
         include_deprecated=args.include_deprecated,
     )
+    _log_ingest(catalog)
     _write_bytes(dumps_catalog(catalog), args.out)
     return 0
 
@@ -79,6 +98,7 @@ def _cmd_ingest_csv(args: argparse.Namespace) -> int:
         Path(args.mappings).read_bytes(),
         mitigations_csv=mitigations_csv,
     )
+    _log_ingest(catalog)
     _write_bytes(dumps_catalog(catalog), args.out)
     return 0
 
@@ -312,15 +332,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and shared by every later call.
+
+    Parsing keeps no state in the parser (each call gets a fresh
+    namespace), so reuse is safe.  Building it takes a dozen parsers and
+    their actions, which also leave reference cycles for the garbage
+    collector.
+    """
+    return build_parser()
+
+
 def run(argv: list[str] | None = None) -> int:
-    """Parse argv and execute one subcommand; returns the exit code."""
-    parser = build_parser()
+    """Parse argv and execute one subcommand; returns the exit code.
+
+    Safe to call repeatedly in one process: each call parses its own
+    argv and sets the ``mitiplan`` logger's level from its own ``-v``
+    count.
+    """
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    level = logging.WARNING - min(args.verbose, 2) * 10
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
+    # basicConfig installs the root handler once, if the host has none; the
+    # level is set per call on the package logger, not on the host's root.
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    logging.getLogger("mitiplan").setLevel(
+        logging.WARNING - min(args.verbose, 2) * 10
+    )
     try:
         return args.func(args)
     except MitiplanError as exc:

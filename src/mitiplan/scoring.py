@@ -44,18 +44,20 @@ class WeightVector:
     def __post_init__(self):
         seen = set()
         for entry in self.entries:
-            parse_technique_id(entry.technique_id)
+            tid = entry.technique_id
+            parse_technique_id(tid)
             if not 0 < entry.weight < math.inf:
                 raise ValidationError(
-                    f"weight for {entry.technique_id} must be finite and positive, "
-                    f"got {entry.weight}"
+                    f"weight for {tid} must be finite and positive, got {entry.weight}"
                 )
-            if entry.technique_id in seen:
-                raise ValidationError(f"duplicate technique {entry.technique_id}")
-            seen.add(entry.technique_id)
-        keys = [(-e.weight, e.technique_id) for e in self.entries]
-        if keys != sorted(keys):
-            raise ValidationError("weight entries must be descending by weight")
+            if tid in seen:
+                raise ValidationError(f"duplicate technique {tid}")
+            seen.add(tid)
+        for a, b in zip(self.entries, self.entries[1:]):
+            if a.weight < b.weight or (
+                a.weight == b.weight and a.technique_id > b.technique_id
+            ):
+                raise ValidationError("weight entries must be descending by weight")
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+import uuid
+
 import numpy as np
 
 from mitiplan.catalog import Catalog, Mitigation, Technique
@@ -122,3 +125,95 @@ def enterprise_catalog_and_weights(seed=2024):
         ]
     )
     return catalog, weights
+
+
+def _stix_object(rng, kind, **props):
+    stix_id = f"{kind}--{uuid.UUID(bytes=rng.bytes(16), version=4)}"
+    return {"type": kind, "spec_version": "2.1", "id": stix_id, **props}
+
+
+def _attack_refs(attack_id):
+    return [{"source_name": "mitre-attack", "external_id": attack_id}]
+
+
+def enterprise_stix_bundle(seed=2024):
+    """STIX 2.1 bundle (JSON bytes) of ``enterprise_catalog_and_weights(seed)``.
+
+    Every technique becomes an ``attack-pattern`` carrying its name and
+    revoked/deprecated flags, every mitigation a ``course-of-action`` and
+    every pair a ``mitigates`` relationship.  As in real releases, the
+    bundle also holds ``subtechnique-of`` and ``uses`` relationships, an
+    identity, a marking definition and tactics, an object without an
+    ATT&CK ID and ``mitigates`` relationships to objects it does not
+    contain.  Ingested with ``collapse=False, include_deprecated=True``
+    it gives back the catalog.
+    """
+    catalog, _ = enterprise_catalog_and_weights(seed)
+    rng = np.random.default_rng([seed, 1])
+    techniques = {}
+    for tech in catalog.techniques:
+        props = {"name": tech.name, "external_references": _attack_refs(tech.id)}
+        if tech.revoked:
+            props["revoked"] = True
+        if tech.deprecated:
+            props["x_mitre_deprecated"] = True
+        techniques[tech.id] = _stix_object(
+            rng, "attack-pattern", description=f"How {tech.id} works.", **props
+        )
+    mitigations = {
+        mit.id: _stix_object(
+            rng,
+            "course-of-action",
+            name=mit.name,
+            description=f"How {mit.id} helps.",
+            external_references=_attack_refs(mit.id),
+        )
+        for mit in catalog.mitigations
+    }
+    ghosts = [f"attack-pattern--{uuid.UUID(bytes=rng.bytes(16), version=4)}"
+              for _ in range(5)]
+
+    def relationship(kind, source, target):
+        return _stix_object(
+            rng, "relationship", relationship_type=kind, source_ref=source,
+            target_ref=target,
+        )
+
+    objects = list(techniques.values()) + list(mitigations.values())
+    objects += [
+        relationship("mitigates", mitigations[mid]["id"], techniques[tid]["id"])
+        for mid, tid in catalog.mappings
+    ]
+    objects += [
+        relationship("subtechnique-of", obj["id"], techniques[tid.split(".")[0]]["id"])
+        for tid, obj in techniques.items()
+        if "." in tid
+    ]
+    objects += [
+        relationship("mitigates", mitigations[catalog.mitigations[k].id]["id"], ghost)
+        for k, ghost in enumerate(ghosts)
+    ]
+    objects += [
+        relationship("uses", ghosts[0], techniques[catalog.techniques[k].id]["id"])
+        for k in range(3)
+    ]
+    objects += [
+        _stix_object(rng, "identity", name="The MITRE Corporation"),
+        _stix_object(rng, "marking-definition", definition_type="statement"),
+        _stix_object(rng, "attack-pattern", name="CAPEC only",
+                     external_references=[{"source_name": "capec",
+                                           "external_id": "CAPEC-1"}]),
+    ]
+    objects += [
+        _stix_object(rng, "x-mitre-tactic", name=name,
+                     external_references=[{"source_name": "mitre-attack",
+                                           "external_id": f"TA000{k}"}])
+        for k, name in enumerate(("Execution", "Persistence", "Defense Evasion"), 2)
+    ]
+    order = rng.permutation(len(objects))
+    bundle = {
+        "type": "bundle",
+        "id": f"bundle--{uuid.UUID(bytes=rng.bytes(16), version=4)}",
+        "objects": [objects[int(k)] for k in order],
+    }
+    return json.dumps(bundle, indent=1).encode("utf-8")

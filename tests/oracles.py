@@ -11,6 +11,18 @@ import math
 
 import numpy as np
 
+from mitiplan.catalog import (
+    Catalog,
+    IngestStats,
+    Mitigation,
+    Technique,
+    is_subtechnique,
+    parent_technique,
+    parse_mitigation_id,
+    parse_technique_id,
+)
+from mitiplan.errors import ParseError, ValidationError
+
 
 def oracle_wsm(u, w):
     """Row totals of the weighted matrix, one loop at a time."""
@@ -106,3 +118,212 @@ def oracle_dumps_catalog(catalog):
     }
     text = json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False)
     return (text + "\n").encode("utf-8")
+
+
+# The STIX ingest as it was before the single-pass rewrite, kept verbatim
+# (with the helpers it called) as the reference the rewrite must match:
+# equal catalogs, equal ``meta`` and the same exceptions.
+
+
+def _check_type(entity_id: str, field_name: str, value, kind: type) -> None:
+    if not isinstance(value, kind):
+        raise ValidationError(
+            f"{entity_id}: {field_name} must be a {kind.__name__}, got {value!r}"
+        )
+
+
+def _check_name(entity_id: str, name) -> None:
+    """A name must be a str that UTF-8 can encode (no lone surrogates),
+    because catalogs and plans are written as UTF-8."""
+    _check_type(entity_id, "name", name, str)
+    try:
+        name.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ValidationError(
+            f"{entity_id}: name is not encodable as UTF-8 "
+            f"({exc.reason} at index {exc.start})"
+        ) from None
+
+
+def _collapse_subtechniques(catalog: Catalog) -> Catalog:
+    """Fold every sub-technique into its parent technique.
+
+    The parent is ensured present (created with an empty name when the
+    source had no parent-level entry), mappings are re-targeted to the
+    parent, and duplicates arising from the fold are dropped.  Collapsing
+    an already collapsed catalog is a no-op.
+    """
+    by_id = {t.id: t for t in catalog.techniques}
+    techniques: dict[str, Technique] = {}
+    for tech in catalog.techniques:
+        if is_subtechnique(tech.id):
+            parent_id = parent_technique(tech.id)
+            if parent_id not in by_id:
+                techniques.setdefault(parent_id, Technique(id=parent_id))
+        else:
+            techniques[tech.id] = tech
+    mappings = {(mid, parent_technique(tid)) for mid, tid in catalog.mappings}
+    return Catalog.from_parts(
+        techniques.values(), catalog.mitigations, mappings, meta=catalog.meta
+    )
+
+
+def _external_attack_id(obj: dict, index: int) -> str | None:
+    refs = obj.get("external_references")
+    if refs is None:
+        return None
+    if not isinstance(refs, list):
+        raise ParseError(
+            f"malformed bundle object at index {index}: "
+            "external_references must be an array"
+        )
+    for ref in refs:
+        if isinstance(ref, dict) and ref.get("source_name") == "mitre-attack":
+            ext = ref.get("external_id")
+            if ext:
+                return ext
+    return None
+
+
+# STIX properties read into entity fields: (property, type, default when
+# absent or null).
+_ENTITY_FIELDS = (
+    ("name", str, ""),
+    ("revoked", bool, False),
+    ("x_mitre_deprecated", bool, False),
+)
+
+
+def _entity_fields(obj: dict, attack_id: str) -> tuple[str, bool, bool]:
+    """An object's name and revoked/deprecated flags, type-checked."""
+    values = []
+    for prop, kind, default in _ENTITY_FIELDS:
+        value = obj.get(prop)
+        if value is None:
+            value = default
+        _check_type(attack_id, prop, value, kind)
+        values.append(value)
+    _check_name(attack_id, values[0])
+    return tuple(values)
+
+
+def oracle_parse_stix_bundle(
+    data: bytes | str | dict,
+    *,
+    collapse: bool = True,
+    include_deprecated: bool = False,
+) -> Catalog:
+    """Extract a catalog from a STIX 2.1 bundle.
+
+    Techniques come from ``attack-pattern`` objects and mitigations from
+    ``course-of-action`` objects, identified by their ``mitre-attack``
+    external reference.  Mappings come from ``mitigates`` relationships.
+    Objects flagged ``revoked`` or ``x_mitre_deprecated`` are dropped
+    unless ``include_deprecated``.  With ``collapse`` (the default),
+    sub-techniques are folded into their parents.
+
+    Relationships whose endpoints cannot be resolved are skipped and
+    counted in ``catalog.meta``; a structurally malformed bundle raises
+    :class:`ParseError` naming the offending object index.
+    """
+    if isinstance(data, (bytes, str)):
+        try:
+            data = json.loads(data)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"bundle is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict) or data.get("type") != "bundle":
+        raise ParseError("not a STIX bundle: top-level type must be 'bundle'")
+    objects = data.get("objects")
+    if not isinstance(objects, list):
+        raise ParseError("not a STIX bundle: 'objects' must be an array")
+
+    techniques: dict[str, Technique] = {}  # stix id -> entity
+    mitigations: dict[str, Mitigation] = {}
+    dropped: set[str] = set()  # stix ids dropped by the revoked/deprecated filter
+    relationships: list[tuple[int, dict]] = []
+    skipped = 0
+    warnings: list[str] = []
+
+    for index, obj in enumerate(objects):
+        if not isinstance(obj, dict) or not isinstance(obj.get("type"), str):
+            raise ParseError(f"malformed bundle object at index {index}")
+        obj_type = obj["type"]
+        if obj_type == "relationship":
+            relationships.append((index, obj))
+            continue
+        if obj_type not in ("attack-pattern", "course-of-action"):
+            skipped += 1
+            continue
+        stix_id = obj.get("id")
+        if not isinstance(stix_id, str):
+            raise ParseError(f"malformed bundle object at index {index}: missing id")
+        attack_id = _external_attack_id(obj, index)
+        if attack_id is None:
+            skipped += 1
+            continue
+        try:
+            name, revoked, deprecated = _entity_fields(obj, attack_id)
+        except ValidationError as exc:
+            skipped += 1
+            warnings.append(f"object {index}: {exc}")
+            continue
+        if (revoked or deprecated) and not include_deprecated:
+            dropped.add(stix_id)
+            continue
+        try:
+            if obj_type == "attack-pattern":
+                techniques[stix_id] = Technique(
+                    id=parse_technique_id(attack_id),
+                    name=name,
+                    revoked=revoked,
+                    deprecated=deprecated,
+                )
+            else:
+                mitigations[stix_id] = Mitigation(
+                    id=parse_mitigation_id(attack_id), name=name
+                )
+        except ValidationError:
+            skipped += 1
+            warnings.append(f"object {index}: unrecognized ATT&CK ID {attack_id!r}")
+
+    mappings: set[tuple[str, str]] = set()
+    dangling = 0
+    for index, rel in relationships:
+        if rel.get("relationship_type") != "mitigates":
+            skipped += 1
+            continue
+        source = rel.get("source_ref")
+        target = rel.get("target_ref")
+        if source in dropped or target in dropped:
+            continue  # endpoint filtered out together with its mappings
+        mitigation = mitigations.get(source)
+        technique = techniques.get(target)
+        if mitigation is None or technique is None:
+            dangling += 1
+            warnings.append(f"relationship at index {index}: unresolved endpoint")
+            continue
+        mappings.add((mitigation.id, technique.id))
+
+    # Distinct STIX objects can carry the same ATT&CK ID (re-released
+    # entities); keep the first occurrence of each ID.
+    uniq_techniques: dict[str, Technique] = {}
+    for tech in techniques.values():
+        uniq_techniques.setdefault(tech.id, tech)
+    uniq_mitigations: dict[str, Mitigation] = {}
+    for mit in mitigations.values():
+        uniq_mitigations.setdefault(mit.id, mit)
+
+    catalog = Catalog.from_parts(
+        uniq_techniques.values(),
+        uniq_mitigations.values(),
+        mappings,
+        meta=IngestStats(
+            skipped_objects=skipped,
+            dangling_refs=dangling,
+            warnings=tuple(warnings),
+        ),
+    )
+    if collapse:
+        catalog = _collapse_subtechniques(catalog)
+    return catalog
+

@@ -152,6 +152,52 @@ class TestCatalogType:
         with pytest.raises(ValidationError, match=flag):
             Technique("T1053", "", **{flag: value})
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("T1053\n", "x"), "invalid technique ID: 'T1053\\n'"),
+            ((7,), "invalid technique ID: 7"),
+            (("T10", 7, "yes"), "invalid technique ID: 'T10'"),
+            (("T1053", 7), "T1053: name must be a str, got 7"),
+            (
+                ("T1053", "Tâche x\ud800"),
+                "T1053: name is not encodable as UTF-8 "
+                "(surrogates not allowed at index 7)",
+            ),
+            (("T1053", "Tâche", 1), "T1053: revoked must be a bool, got 1"),
+            (("T1053", "", False, None), "T1053: deprecated must be a bool, got None"),
+        ],
+    )
+    def test_technique_error_messages(self, args, message):
+        with pytest.raises(ValidationError) as info:
+            Technique(*args)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("M1026 ", "x"), "invalid mitigation ID: 'M1026 '"),
+            (("T1053", 7), "invalid mitigation ID: 'T1053'"),
+            (("M1026", b"x"), "M1026: name must be a str, got b'x'"),
+            (
+                ("M1026", "\udfff"),
+                "M1026: name is not encodable as UTF-8 "
+                "(surrogates not allowed at index 0)",
+            ),
+        ],
+    )
+    def test_mitigation_error_messages(self, args, message):
+        with pytest.raises(ValidationError) as info:
+            Mitigation(*args)
+        assert str(info.value) == message
+
+    def test_str_subclasses_and_non_ascii_names_accepted(self):
+        class Text(str):
+            pass
+
+        assert Technique(Text("T1053.005"), Text("Tâche"), True).id == "T1053.005"
+        assert Mitigation(Text("M1026"), "計画タスク").name == "計画タスク"
+
     def test_lookups(self, v13_catalog):
         assert v13_catalog.has_technique("T1112")
         assert v13_catalog.mitigations_for("T1112") == ("M1024",)
@@ -321,6 +367,35 @@ class TestStixIngest:
         with pytest.raises(ParseError):
             parse_stix_bundle(b"{not json")
 
+    @pytest.mark.parametrize("prop", ["source_ref", "target_ref"])
+    @pytest.mark.parametrize("ref", [["course-of-action--2"], 5, {"id": "x"}, True])
+    def test_non_string_ref_names_index(self, prop, ref):
+        bad = _mitigates(2, 1)
+        bad[prop] = ref
+        bundle = _bundle(_technique(1, "T1053"), _mitigation(2, "M1026"), bad)
+        with pytest.raises(ParseError) as info:
+            parse_stix_bundle(bundle)
+        assert str(info.value) == (
+            f"malformed bundle object at index 2: {prop} must be a string"
+        )
+
+    def test_null_or_absent_ref_is_dangling(self):
+        null_source = _mitigates(2, 1)
+        null_source["source_ref"] = None
+        no_target = _mitigates(2, 1)
+        del no_target["target_ref"]
+        catalog = parse_stix_bundle(
+            _bundle(_technique(1, "T1053"), _mitigation(2, "M1026"), null_source, no_target)
+        )
+        assert catalog.mappings == ()
+        assert catalog.meta.dangling_refs == 2
+
+    def test_non_mitigates_relationship_refs_not_read(self):
+        uses = _mitigates(2, 1)
+        uses.update(relationship_type="uses", source_ref=["x"])
+        catalog = parse_stix_bundle(_bundle(_technique(1, "T1053"), uses))
+        assert catalog.meta.skipped_objects == 1
+
     def test_duplicate_attack_id_keeps_first(self):
         catalog = parse_stix_bundle(
             _bundle(
@@ -355,6 +430,15 @@ class TestCollapse:
         collapsed = collapse_subtechniques(catalog)
         assert collapsed.technique_ids() == ("T1053",)
         assert collapsed.mappings == (("M1026", "T1053"),)
+
+    def test_parent_kept_whatever_the_order(self):
+        # Built directly, a catalog's techniques need not be sorted.
+        catalog = Catalog(
+            techniques=(Technique("T1053.005", "Cron"), Technique("T1053", "Jobs")),
+            mitigations=(),
+            mappings=(),
+        )
+        assert collapse_subtechniques(catalog).techniques == (Technique("T1053", "Jobs"),)
 
 
 class TestCsvIngest:

@@ -1,9 +1,17 @@
 from __future__ import annotations
 
+import gc
 import json
+import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mitiplan
+from mitiplan import cli
 from mitiplan.catalog import load_catalog
 from mitiplan.cli import run
 
@@ -228,6 +236,131 @@ class TestIngest:
         assert "Traceback" not in capsys.readouterr().err
         assert load_catalog(out).technique_ids() == ("T1566",)
 
+    @pytest.mark.parametrize("prop", ["source_ref", "target_ref"])
+    def test_stix_non_string_ref_exits_1(self, tmp_path, capsys, prop):
+        relationship = {
+            "type": "relationship",
+            "id": "relationship--1",
+            "relationship_type": "mitigates",
+            "source_ref": "course-of-action--1",
+            "target_ref": "attack-pattern--1",
+        }
+        relationship[prop] = [relationship[prop]]
+        bundle = {
+            "type": "bundle",
+            "id": "bundle--0",
+            "objects": [{"type": "identity", "id": "identity--1"}, relationship],
+        }
+        bundle_path = tmp_path / "bundle.json"
+        bundle_path.write_text(json.dumps(bundle))
+        out = tmp_path / "never.json"
+        code = run(["ingest", "stix", "--bundle", str(bundle_path), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: malformed bundle object at index 1: {prop} must be a string\n"
+        assert not out.exists()
+
+    def test_ingest_counts_logged_per_call(self, fixture_dir, tmp_path, caplog):
+        args = [
+            "ingest",
+            "csv",
+            "--techniques",
+            str(fixture_dir / "paper_v13_techniques.csv"),
+            "--mappings",
+            str(fixture_dir / "paper_v13_mappings.csv"),
+            "--out",
+            str(tmp_path / "catalog.json"),
+        ]
+        caplog.set_level(logging.DEBUG)
+        assert run(args) == 0
+        assert [r for r in caplog.records if r.name == "mitiplan.cli"] == []
+        assert run(["-v", *args]) == 0
+        assert [r.getMessage() for r in caplog.records if r.name == "mitiplan.cli"] == [
+            "ingested 10 techniques, 18 mitigations, 46 mappings; "
+            "skipped 0 objects, 0 dangling relationships, 0 warnings"
+        ]
+
+
+def _fresh_python(code, *argv):
+    """Run ``python -c code argv`` on this package in a fresh process."""
+    env = dict(os.environ)
+    src = str(Path(mitiplan.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=False,
+    )
+
+
+def _cli_stderr(*argv):
+    """stderr of the ``mitiplan`` console script's entry point."""
+    proc = _fresh_python("from mitiplan.cli import main; main()", *argv)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stderr.splitlines()
+
+
+class TestIngestLogging:
+    """Ingest statistics on stderr: none by default, counts with -v,
+    every warning too with -vv."""
+
+    @pytest.fixture()
+    def bundle_path(self, tmp_path):
+        objects = [
+            {
+                "type": "attack-pattern",
+                "id": "attack-pattern--1",
+                "name": "Phishing",
+                "external_references": [
+                    {"source_name": "mitre-attack", "external_id": "T1566"}
+                ],
+            },
+            {
+                "type": "course-of-action",
+                "id": "course-of-action--2",
+                "name": 7,
+                "external_references": [
+                    {"source_name": "mitre-attack", "external_id": "M1017"}
+                ],
+            },
+            {"type": "identity", "id": "identity--3"},
+            {
+                "type": "relationship",
+                "id": "relationship--4",
+                "relationship_type": "mitigates",
+                "source_ref": "course-of-action--2",
+                "target_ref": "attack-pattern--1",
+            },
+        ]
+        path = tmp_path / "bundle.json"
+        path.write_text(json.dumps({"type": "bundle", "id": "bundle--0", "objects": objects}))
+        return path
+
+    COUNTS = (
+        "INFO mitiplan.cli: ingested 1 techniques, 0 mitigations, 0 mappings; "
+        "skipped 2 objects, 1 dangling relationships, 2 warnings"
+    )
+
+    def _ingest(self, bundle_path, *flags):
+        out = bundle_path.parent / "catalog.json"
+        return _cli_stderr(*flags, "ingest", "stix", "--bundle", str(bundle_path),
+                           "--out", str(out))
+
+    def test_default_stderr_is_silent(self, bundle_path):
+        assert self._ingest(bundle_path) == []
+
+    def test_verbose_logs_counts(self, bundle_path):
+        assert self._ingest(bundle_path, "-v") == [self.COUNTS]
+
+    def test_very_verbose_logs_each_warning(self, bundle_path):
+        assert self._ingest(bundle_path, "-vv") == [
+            self.COUNTS,
+            "DEBUG mitiplan.cli: ingest warning: object 1: M1017: name must be a str, got 7",
+            "DEBUG mitiplan.cli: ingest warning: relationship at index 3: unresolved endpoint",
+        ]
+
 
 class TestMatrix:
     def test_export_layout(self, fixture_dir, capsysbinary):
@@ -450,3 +583,89 @@ class TestScore:
         )
         changed = float(capsys.readouterr().out)
         assert changed > unchanged
+
+
+class TestRepeatedRuns:
+    """``run`` builds its parser once and reuses it across calls."""
+
+    def _simulate_args(self, fixture_dir):
+        return [
+            "simulate",
+            "--catalog",
+            str(fixture_dir / "paper_v13_catalog.json"),
+            "--weights",
+            str(fixture_dir / "paper_v13_weights.csv"),
+            "--campaign",
+            "T1053,T1059",
+        ]
+
+    def test_ops_do_not_rebuild_the_parser(self, fixture_dir, tmp_path, capsys):
+        ops = [
+            self._simulate_args(fixture_dir),
+            _rank_args(fixture_dir, "--out", str(tmp_path / "plan.json")),
+        ]
+        for argv in ops:  # warm-up: imports, caches, the parser itself
+            assert run(argv) == 0
+        builds = cli._parser.cache_info().misses
+        gc.collect()
+        gc.disable()
+        try:
+            cli.build_parser()
+            parser_cycles = gc.collect()  # what building one parser leaves
+            for argv in ops:
+                assert run(argv) == 0
+            garbage = gc.collect()
+        finally:
+            gc.enable()
+        assert cli._parser.cache_info().misses == builds
+        if parser_cycles == 0:
+            pytest.skip("building a parser leaves no reference cycles here")
+        # Building the parser per call would leave at least parser_cycles
+        # per op; other libraries' cycles (the JSON encoder's) stay below.
+        assert garbage < parser_cycles
+
+    def test_host_root_log_level_unchanged(self, fixture_dir, capsys):
+        root = logging.getLogger()
+        saved = root.level
+        root.setLevel(logging.ERROR)
+        try:
+            assert run(["-vv", *_rank_args(fixture_dir, "--out", "-")]) == 0
+            assert root.level == logging.ERROR
+            assert logging.getLogger("mitiplan").level == logging.DEBUG
+            assert run(_rank_args(fixture_dir, "--out", "-")) == 0
+            assert root.level == logging.ERROR
+            assert logging.getLogger("mitiplan").level == logging.WARNING
+        finally:
+            root.setLevel(saved)
+
+    def test_parser_built_once(self):
+        assert cli._parser() is cli._parser()
+
+    def test_parser_not_built_at_import(self):
+        proc = _fresh_python(
+            "import mitiplan.cli as c; print(c._parser.cache_info().currsize)"
+        )
+        assert (proc.returncode, proc.stdout) == (0, "0\n")
+
+    def test_reused_parser_behaves_like_a_fresh_one(self, fixture_dir, capsys):
+        calls = [
+            ["rank", "--method", "nope"],
+            _rank_args(fixture_dir, "--top", "2", "--format", "csv", "--out", "-"),
+            ["--version"],
+        ]
+
+        def outcome(argv):
+            code = run(argv)
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        fresh = []
+        for argv in calls:
+            cli._parser.cache_clear()
+            fresh.append(outcome(argv))
+        reused = [outcome(argv) for argv in calls]
+        assert [code for code, _, _ in fresh] == [2, 0, 0]
+        assert "invalid choice: 'nope'" in fresh[0][2]
+        assert fresh[1][1].startswith("rank,mitigation_id,")
+        assert fresh[2][1] == "mitiplan 0.1.0\n"
+        assert reused == fresh

@@ -82,6 +82,41 @@ class TestWeights:
                 )
             )
 
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            # Every entry is checked before the order, so a bad ID in a
+            # misordered vector is reported as the bad ID.
+            ([("T1059", 1.0), ("T10", 2.0)], "invalid technique ID: 'T10'"),
+            ([("T1059", 1.0), ("T1053", 0.0)], "weight for T1053 must be finite and positive, got 0.0"),
+            ([("T1053", 2.0), ("T1053", 1.0)], "duplicate technique T1053"),
+            ([("T1059", 1.0), ("T1053", 2.0)], "weight entries must be descending by weight"),
+            ([("T1059", 1.0), ("T1053", 1.0)], "weight entries must be descending by weight"),
+        ],
+    )
+    def test_direct_construction_error_messages(self, entries, message):
+        with pytest.raises(ValidationError) as info:
+            WeightVector(entries=tuple(WeightEntry(t, w, "") for t, w in entries))
+        assert str(info.value) == message
+
+    def test_ties_order_by_technique_id(self):
+        entries = (WeightEntry("T1053", 1.0, ""), WeightEntry("T1059", 1.0, ""))
+        assert WeightVector(entries=entries).technique_ids() == ("T1053", "T1059")
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("1,0,T10,x\n", "weights CSV row 1: score must be finite and positive, got 0.0"),
+            ("1,2.0,T10,x\n", "weights CSV row 1: invalid technique ID: 'T10'"),
+            ("1,2.0,T1053,x\n2,1.0, T1053 ,y\n", "weights CSV row 2: duplicate technique T1053"),
+            ("1,2.0,T1053,x\n2,1.0,T1059\n", "weights CSV row 2: expected 4 columns"),
+        ],
+    )
+    def test_load_weights_error_messages(self, body, message):
+        with pytest.raises(ParseError) as info:
+            load_weights("no,score,tid,name\n" + body)
+        assert str(info.value) == message
+
     def test_hash_tracks_content(self, v13_weights):
         base = weights_sha256(v13_weights)
         assert base == weights_sha256(load_weights(render_weights_csv(v13_weights)))
