@@ -182,25 +182,32 @@ class Catalog:
         return {m.id: m.name for m in self.mitigations}
 
 
+def _fold_subtechniques(techniques, mappings):
+    """Techniques and mappings with every sub-technique folded into its parent.
+
+    The parent is ensured present (created with an empty name when the
+    source had no parent-level entry) and mappings are re-targeted to
+    it, as a set, so duplicates arising from the fold are dropped.  The
+    IDs must be valid already: the parent is the part before ".".
+    """
+    folded: dict[str, Technique] = {}
+    for tech in techniques:
+        parent_id, dot, _ = tech.id.partition(".")
+        if not dot:
+            folded[tech.id] = tech  # replaces a stand-in made below
+        elif parent_id not in folded:
+            folded[parent_id] = Technique(id=parent_id)
+    return folded.values(), {(mid, tid.partition(".")[0]) for mid, tid in mappings}
+
+
 def collapse_subtechniques(catalog: Catalog) -> Catalog:
     """Fold every sub-technique into its parent technique.
 
-    The parent is ensured present (created with an empty name when the
-    source had no parent-level entry), mappings are re-targeted to the
-    parent, and duplicates arising from the fold are dropped.  Collapsing
-    an already collapsed catalog is a no-op.
+    Collapsing an already collapsed catalog is a no-op.
     """
-    # A catalog's IDs are valid already: the parent is the part before ".".
-    techniques: dict[str, Technique] = {}
-    for tech in catalog.techniques:
-        parent_id, dot, _ = tech.id.partition(".")
-        if not dot:
-            techniques[tech.id] = tech  # replaces a stand-in made below
-        elif parent_id not in techniques:
-            techniques[parent_id] = Technique(id=parent_id)
-    mappings = {(mid, tid.partition(".")[0]) for mid, tid in catalog.mappings}
+    techniques, mappings = _fold_subtechniques(catalog.techniques, catalog.mappings)
     return Catalog.from_parts(
-        techniques.values(), catalog.mitigations, mappings, meta=catalog.meta
+        techniques, catalog.mitigations, mappings, meta=catalog.meta
     )
 
 
@@ -363,8 +370,12 @@ def parse_stix_bundle(
 
     # Distinct STIX objects can carry the same ATT&CK ID (re-released
     # entities); keep the first occurrence of each ID.
-    catalog = Catalog(
-        techniques=_first_by_id(techniques.values()),
+    kept = _first_by_id(techniques.values())
+    if collapse:
+        folded, mappings = _fold_subtechniques(kept, mappings)
+        kept = _first_by_id(folded)
+    return Catalog(
+        techniques=kept,
         mitigations=_first_by_id(mitigations.values()),
         mappings=tuple(sorted(mappings)),
         meta=IngestStats(
@@ -373,29 +384,30 @@ def parse_stix_bundle(
             warnings=tuple(warnings),
         ),
     )
-    if collapse:
-        catalog = collapse_subtechniques(catalog)
-    return catalog
 
 
-def _decode_csv(data: bytes | str, label: str) -> list[str]:
+def _read_rows(data: bytes | str, label: str, header: str) -> list[tuple[int, list[str]]]:
+    """The ``(row number, row)`` pairs of a CSV payload with this exact header.
+
+    A leading byte-order mark, as spreadsheet exports write, is ignored.
+    Rows are numbered from 1 after the header, blank rows included, and
+    blank rows are then left out.
+    """
+    import csv
+
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ParseError(f"{label}: not valid UTF-8: {exc}") from exc
-    return data.splitlines()
-
-
-def _read_rows(data: bytes | str, label: str, header: str) -> list[list[str]]:
-    """Split a CSV payload into data rows after checking its exact header."""
-    import csv
-
-    lines = _decode_csv(data, label)
-    rows = list(csv.reader(lines))
+    rows = list(csv.reader(data.removeprefix("\ufeff").splitlines()))
     if not rows or ",".join(rows[0]) != header:
         raise ParseError(f"{label}: header must be exactly {header!r}")
-    return [row for row in rows[1:] if row and any(cell.strip() for cell in row)]
+    return [
+        (rownum, row)
+        for rownum, row in enumerate(rows[1:], start=1)
+        if row and any(cell.strip() for cell in row)
+    ]
 
 
 def parse_mapping_csv(
@@ -409,48 +421,44 @@ def parse_mapping_csv(
     has header ``technique_id,mitigation_id`` with one pair per row.
     Mitigations are auto-registered from mapping rows with empty names
     unless an optional ``mitigations_csv`` (``mitigation_id,name``)
-    supplies them.  A malformed ID or duplicate pair raises
+    supplies them.  A malformed ID or name or a duplicate raises
     :class:`ParseError` citing the data row number; a mapping row naming
     a technique absent from ``techniques_csv`` is an error as well.
     """
     techniques: dict[str, Technique] = {}
-    for rownum, row in enumerate(
-        _read_rows(techniques_csv, "techniques CSV", "technique_id,name"), start=1
-    ):
+    for rownum, row in _read_rows(techniques_csv, "techniques CSV", "technique_id,name"):
         if len(row) != 2:
             raise ParseError(f"techniques CSV row {rownum}: expected 2 columns")
-        tid, name = row[0].strip(), row[1]
-        try:
-            parse_technique_id(tid)
-        except ValidationError as exc:
-            raise ParseError(f"techniques CSV row {rownum}: {exc}") from exc
+        tid = row[0].strip()
         if tid in techniques:
             raise ParseError(f"techniques CSV row {rownum}: duplicate technique {tid}")
-        techniques[tid] = Technique(id=tid, name=name)
+        try:
+            techniques[tid] = Technique(id=tid, name=row[1])
+        except ValidationError as exc:
+            raise ParseError(f"techniques CSV row {rownum}: {exc}") from exc
 
-    names: dict[str, str] = {}
+    mitigations: dict[str, Mitigation] = {}
     if mitigations_csv is not None:
-        for rownum, row in enumerate(
-            _read_rows(mitigations_csv, "mitigations CSV", "mitigation_id,name"),
-            start=1,
+        for rownum, row in _read_rows(
+            mitigations_csv, "mitigations CSV", "mitigation_id,name"
         ):
             if len(row) != 2:
                 raise ParseError(f"mitigations CSV row {rownum}: expected 2 columns")
-            mid, name = row[0].strip(), row[1]
-            try:
-                parse_mitigation_id(mid)
-            except ValidationError as exc:
-                raise ParseError(f"mitigations CSV row {rownum}: {exc}") from exc
-            if mid in names:
+            mid = row[0].strip()
+            if mid in mitigations:
                 raise ParseError(
                     f"mitigations CSV row {rownum}: duplicate mitigation {mid}"
                 )
-            names[mid] = name
+            try:
+                mitigations[mid] = Mitigation(id=mid, name=row[1])
+            except ValidationError as exc:
+                raise ParseError(f"mitigations CSV row {rownum}: {exc}") from exc
 
+    # Named mitigations that never appear in the mapping are still listed;
+    # the rest are registered, unnamed, from the mapping rows.
     mappings: set[tuple[str, str]] = set()
-    mitigations: dict[str, Mitigation] = {}
-    for rownum, row in enumerate(
-        _read_rows(mapping_csv, "mapping CSV", "technique_id,mitigation_id"), start=1
+    for rownum, row in _read_rows(
+        mapping_csv, "mapping CSV", "technique_id,mitigation_id"
     ):
         if len(row) != 2:
             raise ParseError(f"mapping CSV row {rownum}: expected 2 columns")
@@ -468,11 +476,8 @@ def parse_mapping_csv(
         if pair in mappings:
             raise ParseError(f"mapping CSV row {rownum}: duplicate pair {mid},{tid}")
         mappings.add(pair)
-        mitigations.setdefault(mid, Mitigation(id=mid, name=names.get(mid, "")))
-
-    # Named mitigations that never appear in the mapping are still listed.
-    for mid, name in names.items():
-        mitigations.setdefault(mid, Mitigation(id=mid, name=name))
+        if mid not in mitigations:
+            mitigations[mid] = Mitigation(id=mid)
 
     return Catalog.from_parts(techniques.values(), mitigations.values(), mappings)
 

@@ -57,8 +57,11 @@ def _write_bytes(data: bytes, out: str) -> None:
         Path(out).write_bytes(data)
 
 
-def _load_weights_file(path: str):
-    return load_weights(Path(path).read_bytes())
+def _load_matrix(args: argparse.Namespace):
+    """The catalog and decision matrix named by ``--catalog`` and ``--weights``."""
+    catalog = load_catalog(args.catalog)
+    weights = load_weights(Path(args.weights).read_bytes())
+    return catalog, build_decision_matrix(catalog, weights)
 
 
 def _log_ingest(catalog) -> None:
@@ -104,17 +107,13 @@ def _cmd_ingest_csv(args: argparse.Namespace) -> int:
 
 
 def _cmd_matrix(args: argparse.Namespace) -> int:
-    catalog = load_catalog(args.catalog)
-    weights = _load_weights_file(args.weights)
-    matrix = build_decision_matrix(catalog, weights)
+    _, matrix = _load_matrix(args)
     _write_bytes(export_matrix_csv(matrix), args.out)
     return 0
 
 
 def _cmd_rank(args: argparse.Namespace) -> int:
-    catalog = load_catalog(args.catalog)
-    weights = _load_weights_file(args.weights)
-    matrix = build_decision_matrix(catalog, weights)
+    catalog, matrix = _load_matrix(args)
     kwargs = {}
     if args.method == "wpm":
         kwargs["zero_policy"] = args.zero_policy
@@ -138,9 +137,7 @@ def _format_steps(steps: int | None) -> str:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    catalog = load_catalog(args.catalog)
-    weights = _load_weights_file(args.weights)
-    matrix = build_decision_matrix(catalog, weights)
+    catalog, matrix = _load_matrix(args)
     scores = score_matrix(matrix, args.method)
     plan = rank(scores, matrix)
     techniques = tuple(
@@ -297,7 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="mitigations required to block one technique")
     sim.add_argument("--trials", type=int, default=10000)
     sim.add_argument("--seed", type=int, default=42)
-    sim.add_argument("--method", choices=METHODS, default="wsm")
+    # No wpm: without rank's --zero-policy epsilon it rejects any sparse catalog.
+    sim.add_argument("--method", choices=("wsm", "topsis"), default="wsm")
     sim.add_argument("--out", help="also write the comparison as JSON, - for stdout")
     sim.set_defaults(func=_cmd_simulate)
 
@@ -332,6 +330,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _StderrHandler(logging.StreamHandler):
+    """Writes each record to ``sys.stderr`` as it is at that moment, so a
+    stream that one call redirected, and maybe closed, is not kept."""
+
+    @property
+    def stream(self):
+        return sys.stderr
+
+    @stream.setter
+    def stream(self, _):
+        pass
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The parser, built on first use and shared by every later call.
@@ -355,9 +366,13 @@ def run(argv: list[str] | None = None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    # basicConfig installs the root handler once, if the host has none; the
-    # level is set per call on the package logger, not on the host's root.
-    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    # The root handler is installed once, if the host has none; the level
+    # is set per call on the package logger, not on the host's root.
+    root = logging.getLogger()
+    if not root.handlers:
+        handler = _StderrHandler()
+        handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+        root.addHandler(handler)
     logging.getLogger("mitiplan").setLevel(
         logging.WARNING - min(args.verbose, 2) * 10
     )

@@ -24,7 +24,7 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True, eq=False)
 class DecisionMatrix:
-    """Coverage matrix plus per-technique weights and mapping counts.
+    """Coverage matrix plus per-technique weights.
 
     ``coverage[i, j]`` is mitigation i's share of technique j (0 when
     unmapped).  ``weighted()`` applies the weights; its column sums equal
@@ -36,7 +36,6 @@ class DecisionMatrix:
     technique_ids: tuple[str, ...]
     coverage: np.ndarray
     weights: np.ndarray
-    counts: np.ndarray
     dropped_techniques: tuple[str, ...] = ()
     catalog_hash: str = ""
     weights_hash: str = ""
@@ -44,29 +43,30 @@ class DecisionMatrix:
     def __post_init__(self):
         coverage = np.array(self.coverage, dtype=float)
         weights = np.array(self.weights, dtype=float)
-        counts = np.array(self.counts, dtype=int)
         m, n = len(self.mitigation_ids), len(self.technique_ids)
         if coverage.shape != (m, n):
             raise ValidationError(
                 f"coverage shape {coverage.shape} does not match {m}x{n}"
             )
-        if weights.shape != (n,) or counts.shape != (n,):
-            raise ValidationError("weights and counts must have one entry per column")
+        if weights.shape != (n,):
+            raise ValidationError("weights must have one entry per column")
         if not np.all(np.isfinite(coverage)) or np.any(coverage < 0):
             raise ValidationError("coverage cells must be finite and nonnegative")
         if not np.all(weights > 0):
             raise ValidationError("weights must be strictly positive")
-        if np.any(counts != (coverage > 0).sum(axis=0)):
-            raise ValidationError("counts must equal nonzero cells per column")
-        for array in (coverage, weights, counts):
+        for array in (coverage, weights):
             array.flags.writeable = False
         object.__setattr__(self, "coverage", coverage)
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "counts", counts)
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.coverage.shape
+
+    @property
+    def counts(self) -> np.ndarray:
+        """Mitigations mapped to each column: its nonzero coverage cells."""
+        return (self.coverage > 0).sum(axis=0)
 
     def weighted(self) -> np.ndarray:
         """Weighted cells: coverage scaled by each column's weight."""
@@ -175,7 +175,6 @@ def build_decision_matrix(
         technique_ids=technique_ids,
         coverage=coverage,
         weights=weight_values,
-        counts=(shares > 0).sum(axis=0),
         dropped_techniques=tuple(empty),
         catalog_hash=catalog_sha256(catalog),
         weights_hash=weights_sha256(weights),

@@ -50,6 +50,7 @@ class PlanEntry:
     mitigation_id: str
     score: float
     covered_techniques: tuple[str, ...]
+    name: str = ""  # display name, filled in for plan documents
 
 
 @dataclass(frozen=True)

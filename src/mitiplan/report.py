@@ -12,32 +12,18 @@ import csv
 import io
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from ._version import __version__
 from .catalog import parse_mitigation_id
 from .errors import ValidationError
-from .mcdm import RankedPlan
+from .mcdm import PlanEntry, RankedPlan
 
 PLAN_FORMATS = ("json", "csv", "markdown")
 
 PLAN_CSV_HEADER = "rank,mitigation_id,name,score,covered_techniques"
 
 SCORE_DECIMALS = 6
-
-
-@dataclass(frozen=True)
-class PlanDocumentEntry:
-    rank: int
-    mitigation_id: str
-    name: str
-    score: float
-    covered_techniques: tuple[str, ...]
-
-    def __post_init__(self):
-        parse_mitigation_id(self.mitigation_id)
-        if self.rank < 1:
-            raise ValidationError(f"rank must be >= 1, got {self.rank}")
 
 
 @dataclass(frozen=True)
@@ -49,7 +35,7 @@ class PlanDocument:
     catalog_hash: str
     weights_hash: str
     timestamp: int
-    entries: tuple[PlanDocumentEntry, ...]
+    entries: tuple[PlanEntry, ...]
 
     def __post_init__(self):
         if self.timestamp < 0:
@@ -92,13 +78,7 @@ def build_plan_document(
     if timestamp is None:
         timestamp = int(time.time())
     entries = tuple(
-        PlanDocumentEntry(
-            rank=entry.rank,
-            mitigation_id=entry.mitigation_id,
-            name=names.get(entry.mitigation_id, ""),
-            score=entry.score,
-            covered_techniques=entry.covered_techniques,
-        )
+        replace(entry, name=names.get(entry.mitigation_id, ""))
         for entry in plan.entries
     )
     return PlanDocument(
@@ -183,12 +163,12 @@ def plan_document_from_json(data: bytes) -> PlanDocument:
         raise ValidationError(f"not a plan document: {exc}") from exc
     try:
         entries = tuple(
-            PlanDocumentEntry(
+            PlanEntry(
                 rank=entry["rank"],
-                mitigation_id=entry["mitigation_id"],
-                name=entry["name"],
+                mitigation_id=parse_mitigation_id(entry["mitigation_id"]),
                 score=entry["score"],
                 covered_techniques=tuple(entry["covered_techniques"]),
+                name=entry["name"],
             )
             for entry in doc["entries"]
         )

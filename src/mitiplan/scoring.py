@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .catalog import parse_technique_id
+from .catalog import _read_rows, parse_technique_id
 from .errors import ParseError, ValidationError
 
 
@@ -78,23 +78,11 @@ def load_weights(data: bytes | str) -> WeightVector:
     The ``no`` column is presentational; the parsed vector is re-sorted
     descending by score.  Non-positive or infinite scores, malformed
     technique IDs, and duplicate techniques raise errors citing the data
-    row number.
+    row number, counting blank rows.  A leading byte-order mark is ignored.
     """
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"weights CSV: not valid UTF-8: {exc}") from exc
-    rows = list(csv.reader(data.splitlines()))
-    if not rows or ",".join(rows[0]) != WEIGHTS_CSV_HEADER:
-        raise ParseError(
-            f"weights CSV: header must be exactly {WEIGHTS_CSV_HEADER!r}"
-        )
     entries = []
     seen = set()
-    for rownum, row in enumerate(rows[1:], start=1):
-        if not row or not any(cell.strip() for cell in row):
-            continue
+    for rownum, row in _read_rows(data, "weights CSV", WEIGHTS_CSV_HEADER):
         if len(row) != 4:
             raise ParseError(f"weights CSV row {rownum}: expected 4 columns")
         _, score_text, tid, name = row

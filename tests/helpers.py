@@ -29,7 +29,6 @@ def random_decision_matrix(rng, max_m=5, max_n=5, zero_prob=0.35):
         technique_ids=tuple(f"T{1000 + j}" for j in range(n)),
         coverage=coverage,
         weights=weights,
-        counts=(coverage > 0).sum(axis=0),
     )
 
 

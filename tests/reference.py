@@ -147,13 +147,11 @@ def published_matrix() -> DecisionMatrix:
     rows = dict(PUBLISHED_ROWS)
     weights = np.array(PUBLISHED_WEIGHTS)
     coverage = np.array([rows[mid] for mid in mids]) / weights
-    counts = (coverage > 0).sum(axis=0)
     return DecisionMatrix(
         mitigation_ids=mids,
         technique_ids=PUBLISHED_TECHNIQUES,
         coverage=coverage,
         weights=weights,
-        counts=counts,
     )
 
 

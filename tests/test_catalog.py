@@ -497,6 +497,39 @@ class TestCsvIngest:
                 "technique_id,mitigation_id\n",
             )
 
+    def test_row_numbers_count_blank_rows(self):
+        with pytest.raises(ParseError) as info:
+            parse_mapping_csv(
+                "technique_id,name\nT1053,x\n",
+                "technique_id,mitigation_id\n\nT999,M1026\n",
+            )
+        assert str(info.value) == "mapping CSV row 2: invalid technique ID: 'T999'"
+
+    def test_unencodable_name_cites_row(self):
+        with pytest.raises(ParseError) as info:
+            parse_mapping_csv(
+                "technique_id,name\nT1053,x\nT1059,bad \ud800\n",
+                "technique_id,mitigation_id\n",
+            )
+        assert str(info.value) == (
+            "techniques CSV row 2: T1059: name is not encodable as UTF-8 "
+            "(surrogates not allowed at index 4)"
+        )
+
+    @pytest.mark.parametrize("as_bytes", [False, True])
+    def test_byte_order_mark_ignored(self, as_bytes):
+        files = [
+            "technique_id,name\nT1053,Scheduled Task\n",
+            "technique_id,mitigation_id\nT1053,M1026\n",
+            "mitigation_id,name\nM1026,Privileged Account Management\n",
+        ]
+        plain = parse_mapping_csv(*files)
+        marked = ["\ufeff" + text for text in files]
+        if as_bytes:
+            marked = [text.encode("utf-8") for text in marked]
+        assert parse_mapping_csv(*marked) == plain
+        assert plain.mitigation_names() == {"M1026": "Privileged Account Management"}
+
     def test_mitigation_names_file(self):
         catalog = parse_mapping_csv(
             "technique_id,name\nT1053,x\n",

@@ -12,7 +12,7 @@ import pytest
 
 import mitiplan
 from mitiplan import cli
-from mitiplan.catalog import load_catalog
+from mitiplan.catalog import Catalog, Mitigation, Technique, load_catalog, save_catalog
 from mitiplan.cli import run
 
 
@@ -381,6 +381,43 @@ class TestMatrix:
         assert lines[1].startswith("mitigation_id,")
         assert len(lines) == 2 + 18
 
+    def test_warning_reaches_stderr_after_closed_redirect(self, tmp_path):
+        # The first call installs the log handler while stderr is a buffer
+        # that is then closed; a later warning must still reach stderr.
+        catalog = Catalog.from_parts(
+            [Technique("T1053"), Technique("T1059")],
+            [Mitigation("M1026")],
+            [("M1026", "T1053")],
+        )
+        save_catalog(catalog, tmp_path / "catalog.json")
+        (tmp_path / "weights.csv").write_text(
+            "no,score,tid,name\n1,2.0,T1053,x\n2,1.0,T1059,y\n"
+        )
+        code = (
+            "import contextlib, io, sys\n"
+            "from mitiplan.cli import run\n"
+            "buffer = io.StringIO()\n"
+            "with contextlib.redirect_stderr(buffer):\n"
+            "    assert run(['fixtures', 'list']) == 0\n"
+            "buffer.close()\n"
+            "sys.exit(run(sys.argv[1:]))\n"
+        )
+        proc = _fresh_python(
+            code,
+            "matrix",
+            "--catalog",
+            str(tmp_path / "catalog.json"),
+            "--weights",
+            str(tmp_path / "weights.csv"),
+            "--out",
+            str(tmp_path / "matrix.csv"),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines() == [
+            "WARNING mitiplan.matrix: dropping 1 technique(s) with no mapped "
+            "mitigation: T1059"
+        ]
+
 
 class TestRank:
     def test_json_plan_byte_stable(self, fixture_dir, tmp_path):
@@ -519,6 +556,21 @@ class TestSimulate:
         sub_text = capsys.readouterr().out.splitlines()
         assert exact_out.read_bytes() == sub_out.read_bytes()
         assert exact_text[1:] == sub_text[1:]
+
+    def test_wpm_is_not_a_simulate_method(self, fixture_dir, capsys):
+        args = [
+            "simulate",
+            "--catalog",
+            str(fixture_dir / "paper_v13_catalog.json"),
+            "--weights",
+            str(fixture_dir / "paper_v13_weights.csv"),
+            "--campaign",
+            "T1053",
+            "--method",
+            "wpm",
+        ]
+        assert run(args) == 2
+        assert "invalid choice: 'wpm'" in capsys.readouterr().err
 
     def test_unknown_campaign_technique(self, fixture_dir, capsys):
         assert self._simulate(fixture_dir, "T9999") == 1

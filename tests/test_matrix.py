@@ -172,15 +172,17 @@ class TestBuild:
 
 
 class TestMatrixType:
-    def test_counts_must_match_nonzeros(self):
-        with pytest.raises(ValidationError):
-            DecisionMatrix(
-                mitigation_ids=("M1026",),
-                technique_ids=("T1053",),
-                coverage=np.array([[1.0]]),
-                weights=np.array([2.0]),
-                counts=np.array([2]),
-            )
+    def test_counts_derived_from_coverage(self, v13_matrix):
+        matrix = DecisionMatrix(
+            mitigation_ids=("M1026", "M1038"),
+            technique_ids=("T1053", "T1059"),
+            coverage=np.array([[0.5, 1.0], [0.5, 0.0]]),
+            weights=np.array([2.0, 1.0]),
+        )
+        assert matrix.counts.tolist() == [2, 1]
+        with pytest.raises(AttributeError):
+            matrix.counts = np.array([1, 1])
+        assert v13_matrix.counts.tolist() == [4, 7, 4, 2, 3, 4, 10, 4, 7, 1]
 
     def test_arrays_read_only(self, v13_matrix):
         with pytest.raises(ValueError):

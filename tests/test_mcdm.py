@@ -31,7 +31,6 @@ def _matrix(u, w, mids=None, tids=None):
         technique_ids=tids or tuple(f"T{1000 + j}" for j in range(u.shape[1])),
         coverage=u,
         weights=np.asarray(w, dtype=float),
-        counts=(u > 0).sum(axis=0),
     )
 
 
@@ -217,7 +216,6 @@ class TestRank:
                 technique_ids=matrix.technique_ids,
                 coverage=matrix.coverage[perm],
                 weights=matrix.weights,
-                counts=matrix.counts,
             )
             base = rank(wsm_scores(matrix), matrix)
             moved = rank(wsm_scores(permuted), permuted)
@@ -237,7 +235,6 @@ class TestRank:
                 technique_ids=tuple(matrix.technique_ids[j] for j in perm),
                 coverage=matrix.coverage[:, perm],
                 weights=matrix.weights[perm],
-                counts=matrix.counts[perm],
             )
             base = rank(wsm_scores(matrix), matrix)
             moved = rank(wsm_scores(permuted), permuted)

@@ -59,6 +59,17 @@ class TestJson:
         with pytest.raises(ValidationError):
             plan_document_from_json(b'{"method": "wsm"}')
 
+    def test_rejects_invalid_mitigation_id(self, v13_plan):
+        doc = json.loads(render_plan(v13_plan, "json", timestamp=PINNED))
+        doc["entries"][0]["mitigation_id"] = "M10"
+        with pytest.raises(ValidationError, match="invalid mitigation ID: 'M10'"):
+            plan_document_from_json(json.dumps(doc).encode("utf-8"))
+
+    def test_entries_carry_names(self, v13_plan):
+        doc = build_plan_document(v13_plan, names={"M1026": "PAM"}, timestamp=PINNED)
+        assert doc.entries[0].name == "PAM"
+        assert doc.entries[1:] == v13_plan.entries[1:]
+
     def test_default_timestamp_is_current(self, v13_plan):
         doc = build_plan_document(v13_plan)
         assert abs(doc.timestamp - time.time()) < 60

@@ -108,6 +108,7 @@ class TestWeights:
         [
             ("1,0,T10,x\n", "weights CSV row 1: score must be finite and positive, got 0.0"),
             ("1,2.0,T10,x\n", "weights CSV row 1: invalid technique ID: 'T10'"),
+            ("\n1,2.0,T999,x\n", "weights CSV row 2: invalid technique ID: 'T999'"),
             ("1,2.0,T1053,x\n2,1.0, T1053 ,y\n", "weights CSV row 2: duplicate technique T1053"),
             ("1,2.0,T1053,x\n2,1.0,T1059\n", "weights CSV row 2: expected 4 columns"),
         ],
@@ -116,6 +117,13 @@ class TestWeights:
         with pytest.raises(ParseError) as info:
             load_weights("no,score,tid,name\n" + body)
         assert str(info.value) == message
+
+    def test_byte_order_mark_ignored(self, v13_weights):
+        data = render_weights_csv(v13_weights)
+        marked = "\ufeff".encode("utf-8") + data
+        assert load_weights(marked) == v13_weights
+        assert load_weights(marked.decode("utf-8")) == v13_weights
+        assert weights_sha256(load_weights(marked)) == weights_sha256(load_weights(data))
 
     def test_hash_tracks_content(self, v13_weights):
         base = weights_sha256(v13_weights)
