@@ -390,17 +390,20 @@ def _read_rows(data: bytes | str, label: str, header: str) -> list[tuple[int, li
     """The ``(row number, row)`` pairs of a CSV payload with this exact header.
 
     A leading byte-order mark, as spreadsheet exports write, is ignored.
-    Rows are numbered from 1 after the header, blank rows included, and
-    blank rows are then left out.
+    Only the CSV reader splits lines, so a quoted cell keeps its line
+    breaks and an unquoted one keeps separators such as U+2028.  Rows are
+    numbered from 1 after the header, blank rows included, and blank rows
+    are then left out.
     """
     import csv
+    import io
 
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ParseError(f"{label}: not valid UTF-8: {exc}") from exc
-    rows = list(csv.reader(data.removeprefix("\ufeff").splitlines()))
+    rows = list(csv.reader(io.StringIO(data.removeprefix("\ufeff"), newline="")))
     if not rows or ",".join(rows[0]) != header:
         raise ParseError(f"{label}: header must be exactly {header!r}")
     return [

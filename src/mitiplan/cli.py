@@ -41,7 +41,7 @@ from .scoring import (
     parse_cvss_level,
     risk_factor,
 )
-from .simulator import Campaign, compare_orders
+from .simulator import Campaign, compare_orders, resolve_campaign
 
 log = logging.getLogger(__name__)
 
@@ -145,10 +145,21 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     )
     campaign = Campaign(techniques=techniques, block_threshold=args.k)
     report = compare_orders(plan, catalog, campaign, trials=args.trials, seed=args.seed)
-    if args.out:
-        doc = json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
-        _write_bytes(doc.encode("utf-8"), args.out)
     baseline = report.baseline
+    if args.out:
+        provenance = {
+            "tool_version": __version__,
+            "catalog_hash": matrix.catalog_hash,
+            "weights_hash": matrix.weights_hash,
+            "method": args.method,
+            "campaign": list(resolve_campaign(campaign, catalog)),
+            "k": campaign.block_threshold,
+            "seed": baseline.seed,
+            "trials": baseline.trials,
+        }
+        doc = {**report.to_dict(), "provenance": provenance}
+        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        _write_bytes(text.encode("utf-8"), args.out)
     print(f"campaign: {','.join(campaign.techniques)} (threshold {args.k})")
     print(f"plan steps to block: {_format_steps(report.plan_steps)}")
     if baseline.mean_steps is not None:

@@ -117,7 +117,13 @@ def render_weights_csv(weights: WeightVector) -> bytes:
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(WEIGHTS_CSV_HEADER.split(","))
     for position, entry in enumerate(weights.entries, start=1):
-        writer.writerow([position, repr(entry.weight), entry.technique_id, entry.name])
+        if "\r" in entry.name:
+            # Before 3.13 the writer leaves a bare CR unquoted, and a reader
+            # ends the row there; quote it as 3.13 does.
+            name = entry.name.replace('"', '""')
+            buffer.write(f'{position},{entry.weight!r},{entry.technique_id},"{name}"\n')
+        else:
+            writer.writerow([position, repr(entry.weight), entry.technique_id, entry.name])
     return buffer.getvalue().encode("utf-8")
 
 

@@ -11,6 +11,7 @@ regardless of evaluation order.
 
 from __future__ import annotations
 
+import logging
 import numbers
 from dataclasses import dataclass
 
@@ -27,6 +28,8 @@ from .catalog import (
 from .errors import SimulationError, ValidationError
 from .mcdm import RankedPlan
 
+
+log = logging.getLogger(__name__)
 
 MAX_SEED = 2**64 - 1
 
@@ -250,16 +253,25 @@ def _cover_matrix(catalog: Catalog, resolved: tuple[str, ...]) -> np.ndarray:
 _PHILOX_M = ((0xD2E7470EE14C6C93,), (0xCA5A826395121157,))
 _PHILOX_W = ((0x9E3779B97F4A7C15,), (0xBB67AE8584CAA73B,))
 _LOW32 = 0xFFFFFFFF
-_LOW64 = 0xFFFFFFFFFFFFFFFF
 
-# Trials generated side by side.  Scratch memory grows with this, not
-# with the trial count.
+# Trials in flight at once.  Scratch memory grows with this, not with
+# the trial count.
 TRIAL_LANES = 2048
 
 
-def _philox_block(counter: int, seed: int, lanes: np.ndarray):
-    """One Philox4x64-10 block per lane, for counter [counter, 0, 0, 0]
-    and key [seed, lane]: its four 64-bit output words, one array of
+def _mulhi(a, b_lo, b_hi):
+    """High 64 bits of the 128-bit products a * b, given b's 32-bit
+    halves; uint64 arithmetic wraps mod 2^64."""
+    a_lo = a & _LOW32
+    a_hi = a >> 32
+    mid = a_hi * b_lo + ((a_lo * b_lo) >> 32)
+    low_mid = (mid & _LOW32) + a_lo * b_hi
+    return a_hi * b_hi + (mid >> 32) + (low_mid >> 32)
+
+
+def _philox_block(counters, seed: int, keys):
+    """One Philox4x64-10 block per lane, for counter [counters, 0, 0, 0]
+    and key [seed, keys]: its four 64-bit output words, one array of
     lanes each."""
     # Rows of p are words 0 and 2, which a round multiplies by M into
     # 128-bit products hi:lo.  Words 1 and 3 are the previous round's lo
@@ -267,33 +279,83 @@ def _philox_block(counter: int, seed: int, lanes: np.ndarray):
     # computed as (hi ^ lo_prev)[::-1] ^ key.  Constants are expanded to
     # full rows because NumPy's contiguous loops run about twice as fast
     # as broadcast ones.
-    n = lanes.size
+    n = keys.size
     mul = np.repeat(np.array(_PHILOX_M, dtype=np.uint64), n, axis=1)
     mul_lo = mul & _LOW32
     mul_hi = mul >> 32
     bump = np.repeat(np.array(_PHILOX_W, dtype=np.uint64), n, axis=1)
     key = np.empty((2, n), dtype=np.uint64)
     key[0] = seed
-    key[1] = lanes
+    key[1] = keys
     # Round 1: counter words 1..3 are 0, so only M0 * counter is nonzero.
-    first = _PHILOX_M[0][0] * counter
     p = np.empty((2, n), dtype=np.uint64)
     p[0] = seed
-    p[1] = lanes ^ (first >> 64)
+    p[1] = keys ^ _mulhi(counters, mul_lo[0], mul_hi[0])
     lo = np.zeros((2, n), dtype=np.uint64)
-    lo[0] = first & _LOW64
+    lo[0] = counters * mul[0]
     for _ in range(9):
         key += bump
-        # 64x64 -> 128-bit multiply from 32-bit halves; uint64 wraps mod 2^64.
-        p_lo = p & _LOW32
-        p_hi = p >> 32
-        mid = p_hi * mul_lo + ((p_lo * mul_lo) >> 32)
-        low_mid = (mid & _LOW32) + p_lo * mul_hi
-        hi = p_hi * mul_hi + (mid >> 32) + (low_mid >> 32)
+        hi = _mulhi(p, mul_lo, mul_hi)
         next_lo = p * mul
         p = (hi ^ lo)[::-1] ^ key
         lo = next_lo
     return p[0], lo[1], p[1], lo[0]
+
+
+def _shuffle_lanes(m: int, trials: int, seed: int, start, place) -> None:
+    """Run the Fisher-Yates shuffle of `trial_orders` for trials
+    0..trials-1 in a pool of TRIAL_LANES lanes, m >= 2.
+
+    Each lane holds one trial and consumes one Philox block of that
+    trial's stream per round, testing its eight words against its own i.
+    A lane whose trial is over (i reached 0, or `place` says so) takes
+    the next trial in the following round, at that trial's counter 1;
+    once no trial is left, finished lanes leave the pool.
+
+    ``start(slots, trials)`` readies lane slots for new trials and returns
+    each lane's row offset in the buffer that `place` works on.
+    ``place(slots, pos_i, pos_j, i)`` makes the accepted swaps, given the
+    lanes' slots, the buffer positions of i and j, and i.  It returns a
+    mask of the lanes whose trial is now over, or None.
+    """
+    masks = np.array([(1 << i.bit_length()) - 1 for i in range(m)], dtype=np.int64)
+    width = min(trials, TRIAL_LANES)
+    slot = np.arange(width)
+    trial = np.arange(width, dtype=np.uint64)
+    counter = np.zeros(width, dtype=np.uint64)
+    i = np.full(width, m - 1, dtype=np.int64)
+    row = start(slot, trial)
+    queued = width
+    while slot.size:
+        counter += 1
+        for x in _philox_block(counter, seed, trial):
+            for word in (x & _LOW32, x >> 32):
+                # A lane whose i reached 0 draws j = 0 (a no-op swap) and
+                # moves to i = -1; a lane at i < 0 accepts no later word:
+                # masks[i] is still a valid index and j >= 0.
+                j = word.view(np.int64) & masks[i]
+                accept = j <= i
+                hit = np.flatnonzero(accept)
+                at, step = row[hit], i[hit]
+                over = place(slot[hit], at + step, at + j[hit], step)
+                i -= accept
+                if over is not None:
+                    i[hit[over]] = -1
+        ended = np.flatnonzero(i <= 0)
+        if ended.size:
+            fresh = ended[: trials - queued]
+            if fresh.size:
+                trial[fresh] = np.arange(queued, queued + fresh.size, dtype=np.uint64)
+                counter[fresh] = 0
+                i[fresh] = m - 1
+                row[fresh] = start(slot[fresh], trial[fresh])
+                queued += fresh.size
+            if fresh.size < ended.size:
+                live = np.ones(slot.size, dtype=bool)
+                live[ended[fresh.size :]] = False
+                slot, trial, counter, i, row = (
+                    slot[live], trial[live], counter[live], i[live], row[live]
+                )
 
 
 def trial_orders(m: int, trials: int, seed: int) -> np.ndarray:
@@ -306,45 +368,81 @@ def trial_orders(m: int, trials: int, seed: int) -> np.ndarray:
     draws j by masked rejection (u32 & (2^bitlen(i) - 1), redrawn while
     above i) and swaps positions i and j.  Each trial owns its stream,
     so the batch is independent of generation order and any row can be
-    regenerated alone.
-
-    Trials run in lockstep, TRIAL_LANES at a time.  Every live lane
-    consumes one whole block per step, so all lanes share the counter
-    and each tests its eight words against its own i; a lane drops out
-    once its i reaches 0.
+    regenerated alone.  Trials run side by side in the lane pool of
+    `_shuffle_lanes`, each shuffling its own row of the result.
     """
     orders = np.empty((trials, m), dtype=np.int64)
     orders[:] = np.arange(m)
     if m < 2:
         return orders
     flat = orders.reshape(-1)
-    masks = np.array([(1 << i.bit_length()) - 1 for i in range(m)], dtype=np.int64)
-    for start in range(0, trials, TRIAL_LANES):
-        lanes = np.arange(start, min(start + TRIAL_LANES, trials), dtype=np.uint64)
-        rows = lanes.astype(np.int64) * m
-        i = np.full(lanes.size, m - 1, dtype=np.int64)
-        counter = 0
-        while lanes.size:
-            counter += 1
-            for x in _philox_block(counter, seed, lanes):
-                for word in (x & _LOW32, x >> 32):
-                    # A lane whose i reached 0 draws j = 0 (a no-op swap)
-                    # and moves to i = -1, which no later word accepts:
-                    # masks[-1] is still a valid index and j >= 0.
-                    j = word.view(np.int64) & masks[i]
-                    accept = j <= i
-                    hit = np.flatnonzero(accept)
-                    row = rows[hit]
-                    pos_i = row + i[hit]
-                    pos_j = row + j[hit]
-                    held = flat[pos_i]
-                    flat[pos_i] = flat[pos_j]
-                    flat[pos_j] = held
-                    i -= accept
-            live = i > 0
-            if not live.all():
-                lanes, rows, i = lanes[live], rows[live], i[live]
+
+    def start(slots, lane_trials):
+        return lane_trials.astype(np.int64) * m
+
+    def place(slots, pos_i, pos_j, i):
+        held = flat[pos_i]
+        flat[pos_i] = flat[pos_j]
+        flat[pos_j] = held
+
+    _shuffle_lanes(m, trials, seed, start, place)
     return orders
+
+
+def forward_steps(covers: np.ndarray, threshold: int, trials: int, seed: int) -> np.ndarray:
+    """Steps to block per trial (-1 when a trial never blocks): the whole
+    order of every trial from `trial_orders`, then the steps-to-block
+    kernel over them."""
+    orders = trial_orders(covers.shape[0], trials, seed)
+    out = np.empty(trials, dtype=np.int64)
+    _kernel.steps_to_block_batch(orders, covers, threshold, out)
+    return out
+
+
+def backward_steps(covers: np.ndarray, threshold: int, trials: int, seed: int) -> np.ndarray:
+    """`forward_steps`, bit for bit, without building whole orders.
+
+    The shuffle places positions m-1, m-2, ... in turn, and after it
+    places position i the prefix 0..i-1 holds exactly the mitigations not
+    yet placed.  A trial tracks each technique's covering rows left in
+    that prefix; the first placement that leaves some technique fewer
+    than `threshold` of them puts that technique's threshold-th cover,
+    and so the campaign's block, at step i + 1.  The trial stops there.
+    A trial in which no count drops blocks at step 1.
+    """
+    m, t = covers.shape
+    cover_counts = covers.sum(axis=0)
+    if t == 0 or (cover_counts < threshold).any():
+        return np.full(trials, -1, dtype=np.int64)
+    out = np.ones(trials, dtype=np.int64)
+    if m < 2:
+        return out
+    width = min(trials, TRIAL_LANES)
+    count_type = np.min_scalar_type(-m)
+    cover_rows = covers.astype(count_type)
+    prefix = np.empty((width, m), dtype=np.int64)
+    flat = prefix.reshape(-1)
+    left = np.empty((width, t), dtype=count_type)
+    owner = np.empty(width, dtype=np.int64)
+
+    def start(slots, lane_trials):
+        prefix[slots] = np.arange(m)
+        left[slots] = cover_counts
+        owner[slots] = lane_trials
+        return slots * m
+
+    def place(slots, pos_i, pos_j, i):
+        # Position i is final, so only the swap's other half is written.
+        placed = flat[pos_j]
+        flat[pos_j] = flat[pos_i]
+        remaining = left[slots] - cover_rows[placed]
+        left[slots] = remaining
+        over = (remaining < threshold).any(axis=1)
+        out[owner[slots[over]]] = i[over] + 1
+        return over
+
+    _shuffle_lanes(m, trials, seed, start, place)
+    return out
 
 
 def random_baseline(
@@ -354,7 +452,9 @@ def random_baseline(
     mitigation ordering.
 
     Unblockable trials (threshold unreachable for some technique) carry
-    no step count; they only raise unblocked_fraction.
+    no step count; they only raise unblocked_fraction.  The steps come
+    from `backward_steps` or `forward_steps`, which agree bit for bit;
+    the campaign's fewest covers choose the cheaper one.
     """
     if not _is_integer(trials) or trials < 1:
         raise ValidationError(f"trials must be an integer >= 1, got {trials!r}")
@@ -363,9 +463,25 @@ def random_baseline(
     trials, seed = int(trials), int(seed)
     resolved = resolve_campaign(campaign, catalog)
     covers = _cover_matrix(catalog, resolved)
-    orders = trial_orders(covers.shape[0], trials, seed)
-    out = np.empty(trials, dtype=np.int64)
-    _kernel.steps_to_block_batch(orders, covers, campaign.block_threshold, out)
+    threshold = campaign.block_threshold
+    # A technique with r covers blocks, on average, no earlier than step
+    # threshold * (m + 1) / (r + 1).  When some r <= 2 * threshold - 1
+    # that is past mid-order, so the backward walk stops within about
+    # half the swaps of a whole shuffle, which more than pays for its
+    # dearer swaps.
+    counts = covers.sum(axis=0)
+    fewest = int(np.argmin(counts))
+    backward = counts[fewest] <= 2 * threshold - 1
+    log.info(
+        "random baseline: %s walk (%s has %d covers, %s 2k-1 = %d)",
+        "backward" if backward else "forward",
+        resolved[fewest],
+        counts[fewest],
+        "<=" if backward else ">",
+        2 * threshold - 1,
+    )
+    walk = backward_steps if backward else forward_steps
+    out = walk(covers, threshold, trials, seed)
     blocked = out[out > 0]
     unblocked_fraction = float(trials - blocked.size) / trials
     if blocked.size:

@@ -530,6 +530,36 @@ class TestCsvIngest:
         assert parse_mapping_csv(*marked) == plain
         assert plain.mitigation_names() == {"M1026": "Privileged Account Management"}
 
+    @pytest.mark.parametrize(
+        "cell, name",
+        [
+            ('"a\nb"', "a\nb"),
+            ('"a\rb"', "a\rb"),
+            ('"a\r\nb"', "a\r\nb"),
+            ("a\u2028b", "a\u2028b"),
+            ("a\x85b", "a\x85b"),
+        ],
+    )
+    def test_line_breaks_in_names_kept(self, cell, name):
+        # Only the CSV reader splits lines: quoted breaks and unquoted
+        # Unicode separators stay inside the name.
+        catalog = parse_mapping_csv(
+            f"technique_id,name\nT1053,{cell}\nT1059,next\n",
+            "technique_id,mitigation_id\nT1053,M1026\n",
+        )
+        assert [(t.id, t.name) for t in catalog.techniques] == [
+            ("T1053", name),
+            ("T1059", "next"),
+        ]
+
+    def test_quoted_line_break_counts_as_one_row(self):
+        with pytest.raises(ParseError) as info:
+            parse_mapping_csv(
+                'technique_id,name\nT1053,"two\nlines"\n\nT999,x\n',
+                "technique_id,mitigation_id\n",
+            )
+        assert str(info.value) == "techniques CSV row 3: invalid technique ID: 'T999'"
+
     def test_mitigation_names_file(self):
         catalog = parse_mapping_csv(
             "technique_id,name\nT1053,x\n",

@@ -14,6 +14,8 @@ import mitiplan
 from mitiplan import cli
 from mitiplan.catalog import Catalog, Mitigation, Technique, load_catalog, save_catalog
 from mitiplan.cli import run
+from mitiplan.matrix import build_decision_matrix
+from mitiplan.scoring import load_weights
 
 
 @pytest.fixture()
@@ -556,6 +558,48 @@ class TestSimulate:
         sub_text = capsys.readouterr().out.splitlines()
         assert exact_out.read_bytes() == sub_out.read_bytes()
         assert exact_text[1:] == sub_text[1:]
+
+    def test_out_carries_provenance(self, fixture_dir, tmp_path, capsys):
+        out = tmp_path / "sim.json"
+        assert self._simulate(fixture_dir, "T1059.001,T1053", out=str(out)) == 0
+        doc = json.loads(out.read_text())
+        assert sorted(doc) == ["baseline", "plan", "provenance", "ratio"]
+        matrix = build_decision_matrix(
+            load_catalog(fixture_dir / "paper_v13_catalog.json"),
+            load_weights((fixture_dir / "paper_v13_weights.csv").read_bytes()),
+        )
+        assert doc["provenance"] == {
+            "tool_version": mitiplan.__version__,
+            "catalog_hash": matrix.catalog_hash,
+            "weights_hash": matrix.weights_hash,
+            "method": "wsm",
+            "campaign": ["T1053", "T1059"],
+            "k": 1,
+            "seed": 42,
+            "trials": 500,
+        }
+
+    @pytest.mark.parametrize(
+        "campaign, line",
+        [
+            ("T1053,T1059", "forward walk (T1053 has 4 covers, > 2k-1 = 1)"),
+            ("T1112", "backward walk (T1112 has 1 covers, <= 2k-1 = 1)"),
+        ],
+    )
+    def test_verbose_names_the_walk(self, fixture_dir, campaign, line):
+        argv = [
+            "simulate",
+            "--catalog",
+            str(fixture_dir / "paper_v13_catalog.json"),
+            "--weights",
+            str(fixture_dir / "paper_v13_weights.csv"),
+            "--campaign",
+            campaign,
+            "--trials",
+            "50",
+        ]
+        assert _cli_stderr(*argv) == []
+        assert _cli_stderr("-v", *argv) == [f"INFO mitiplan.simulator: random baseline: {line}"]
 
     def test_wpm_is_not_a_simulate_method(self, fixture_dir, capsys):
         args = [

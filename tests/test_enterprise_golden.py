@@ -1,9 +1,10 @@
 """Byte-level goldens and oracles at ATT&CK Enterprise size.
 
 The catalog, matrix and plan outputs of the seeded Enterprise-size
-catalog are pinned by SHA-256, the canonical catalog writer is checked
-against the standard library's JSON encoder, and every index-backed
-``Catalog`` lookup is checked against a plain scan of ``mappings``.
+catalog are pinned by SHA-256, and its random baselines by their exact
+summaries.  The canonical catalog writer is checked against the
+standard library's JSON encoder, and every index-backed ``Catalog``
+lookup is checked against a plain scan of ``mappings``.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from mitiplan.catalog import (
 from mitiplan.cli import run
 from mitiplan.matrix import build_decision_matrix, export_matrix_csv, mapping_counts
 from mitiplan.scoring import render_weights_csv
+from mitiplan.simulator import Campaign, random_baseline
 
 CATALOG_SHA256 = "228a16e7371e3922c89cb862202ebd9967493c20496f174676fb7408e122b903"
 MATRIX_CSV_SHA256 = "86cdbbac7dd11ba1edc05043318c6b383ccf5b17c7147b91736f93b6bf4d11bd"
@@ -89,6 +91,42 @@ def test_wsm_plan_json_golden(enterprise, tmp_path):
     ]
     assert run(argv) == 0
     assert _sha256((tmp_path / "plan.json").read_bytes()) == PLAN_JSON_SHA256
+
+
+# (techniques, k, fewest covers, mean, std) over 3,000 trials of seed
+# 2024, pinned before the backward walk existed.  The first two campaigns
+# now take it (fewest covers <= 2k - 1); the third keeps whole orders.
+BASELINES = [
+    (
+        (
+            "T1000", "T1010.001", "T1043", "T1053.002", "T1055.003", "T1111.004",
+            "T1120", "T1131.002", "T1153.002", "T1167.003", "T1178.001", "T1183.003",
+        ),
+        2, 2, 41.638333333333335, 3.3483623692120834,
+    ),
+    (
+        (
+            "T1002.002", "T1051.001", "T1053.002", "T1056.001", "T1063.005",
+            "T1088.004", "T1137.007", "T1198",
+        ),
+        3, 3, 39.602333333333334, 3.84458856345152,
+    ),
+    (
+        ("T1018", "T1075.003", "T1128.006", "T1131.003", "T1152.001", "T1165.006"),
+        3, 6, 28.542666666666666, 5.027740999251607,
+    ),
+]
+
+
+@pytest.mark.parametrize("techniques, k, fewest, mean, std", BASELINES)
+def test_random_baseline_golden(enterprise, techniques, k, fewest, mean, std):
+    catalog, _ = enterprise
+    assert min(len(catalog.mitigations_for(tid)) for tid in techniques) == fewest
+    campaign = Campaign(techniques=techniques, block_threshold=k)
+    summary = random_baseline(catalog, campaign, trials=3000, seed=2024)
+    assert (summary.mean_steps, summary.std_steps, summary.unblocked_fraction) == (
+        mean, std, 0.0
+    )
 
 
 _names = st.one_of(st.text(max_size=12), st.sampled_from(ODD_NAME_PARTS))

@@ -125,6 +125,24 @@ class TestWeights:
         assert load_weights(marked.decode("utf-8")) == v13_weights
         assert weights_sha256(load_weights(marked)) == weights_sha256(load_weights(data))
 
+    @pytest.mark.parametrize(
+        "name", ["a\nb", "a\rb", "a\r\nb", "a\u2028b", "a\x85b", 'say "\r"', "\r"]
+    )
+    def test_line_breaks_in_names_round_trip(self, name):
+        # Only the CSV reader splits lines, so a name keeps its breaks
+        # and separators; a bare CR is written quoted.
+        weights = WeightVector.from_entries(
+            [WeightEntry("T1053", 2.0, name), WeightEntry("T1059", 1.0, "plain")]
+        )
+        data = render_weights_csv(weights)
+        assert load_weights(data) == weights
+        assert load_weights(data.decode("utf-8")) == weights
+        assert render_weights_csv(load_weights(data)) == data
+
+    def test_bare_carriage_return_name_is_quoted(self):
+        weights = WeightVector.from_entries([WeightEntry("T1053", 2.0, "a\rb")])
+        assert render_weights_csv(weights) == b'no,score,tid,name\n1,2.0,T1053,"a\rb"\n'
+
     def test_hash_tracks_content(self, v13_weights):
         base = weights_sha256(v13_weights)
         assert base == weights_sha256(load_weights(render_weights_csv(v13_weights)))

@@ -1,13 +1,15 @@
 from __future__ import annotations
 
 import hashlib
+import logging
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mitiplan import _mcsim_py
+from mitiplan import _mcsim_py, simulator
 from mitiplan.catalog import Catalog, Mitigation, Technique
 from mitiplan.errors import SimulationError, ValidationError
 from mitiplan.matrix import build_decision_matrix
@@ -18,7 +20,9 @@ from mitiplan.simulator import (
     Campaign,
     MonteCarloSummary,
     SimulationResult,
+    backward_steps,
     compare_orders,
+    forward_steps,
     random_baseline,
     resolve_campaign,
     simulate_campaign,
@@ -315,13 +319,23 @@ class TestTrialOrders:
 class TestRandomBaseline:
     def test_single_cover_mean_near_uniform_expectation(self, v13_catalog):
         # T1112 is covered by exactly one of the 18 mitigations, so
-        # steps-to-block is uniform on 1..18 with mean 9.5.
+        # steps-to-block is uniform on 1..18.
+        n, trials = 18, 10000
         summary = random_baseline(
-            v13_catalog, Campaign(techniques=("T1112",)), trials=10000, seed=123
+            v13_catalog, Campaign(techniques=("T1112",)), trials=trials, seed=123
         )
         assert summary.unblocked_fraction == 0.0
-        assert summary.mean_steps == pytest.approx(9.5, abs=0.3)
-        assert summary.std_steps == pytest.approx(5.188, abs=0.3)
+        mean, var = (n + 1) / 2, (n * n - 1) / 12
+        # Fourth central moment of the uniform on 1..n, for the standard
+        # error of the sample std (delta method on the sample variance).
+        mu4 = (n * n - 1) * (3 * n * n - 7) / 240
+        mean_se = math.sqrt(var / trials)
+        std_se = math.sqrt((mu4 - var * var) / trials) / (2 * math.sqrt(var))
+        assert abs(summary.mean_steps - mean) < 4 * mean_se
+        assert abs(summary.std_steps - math.sqrt(var)) < 4 * std_se
+        # The forward walk's figures, pinned before the backward walk
+        # that now computes them existed.
+        assert (summary.mean_steps, summary.std_steps) == (9.4856, 5.161723805086824)
 
     def test_bit_identical_reruns(self, v13_catalog):
         campaign = Campaign(techniques=("T1053", "T1059"))
@@ -375,6 +389,94 @@ class TestRandomBaseline:
         summary = random_baseline(v13_catalog, campaign, np.int64(50), np.uint64(MAX_SEED))
         assert type(summary.trials) is int and type(summary.seed) is int
         assert summary == random_baseline(v13_catalog, campaign, 50, MAX_SEED)
+
+
+class TestWalks:
+    """The backward walk and the forward walk (whole orders, then the
+    kernel) give the same steps, and random_baseline picks between them
+    by the campaign's fewest covers."""
+
+    @pytest.mark.parametrize("lanes", [1, 2, 3, 7])
+    @settings(max_examples=40, deadline=None)
+    @given(
+        m=st.integers(0, 10),
+        t=st.integers(0, 3),
+        trials=st.integers(0, 20),
+        threshold=st.integers(1, 3),
+        seed=st.one_of(st.sampled_from([0, MAX_SEED]), st.integers(0, MAX_SEED)),
+        data=st.data(),
+    )
+    @example(m=1, t=1, trials=5, threshold=1, seed=0, data=None)
+    @example(m=2, t=2, trials=9, threshold=1, seed=MAX_SEED, data=None)
+    @example(m=2, t=1, trials=9, threshold=2, seed=0, data=None)
+    @example(m=6, t=2, trials=11, threshold=3, seed=MAX_SEED, data=None)
+    def test_walks_match_oracle(self, lanes, m, t, trials, threshold, seed, data):
+        # Small lane pools make trials take over lanes at every point of
+        # a round, and lanes leave the pool once trials run out.
+        if data is None:  # explicit examples: every row covers everything
+            covers = np.ones((m, t), dtype=np.uint8)
+        else:
+            flags = data.draw(st.lists(st.booleans(), min_size=m * t, max_size=m * t))
+            covers = np.array(flags, dtype=np.uint8).reshape(m, t)
+        orders = oracle_trial_orders(m, trials, seed)
+        expected = _oracle_batch(orders, covers, threshold)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simulator, "TRIAL_LANES", lanes)
+            assert np.array_equal(trial_orders(m, trials, seed), orders)
+            assert forward_steps(covers, threshold, trials, seed).tolist() == expected
+            assert backward_steps(covers, threshold, trials, seed).tolist() == expected
+
+    @pytest.mark.parametrize("threshold", [1, 2, 3])
+    def test_unblockable_technique_walks_nothing(self, threshold, monkeypatch):
+        covers = np.ones((8, 2), dtype=np.uint8)
+        covers[threshold - 1 :, 1] = 0  # column 1 has threshold - 1 covers
+        monkeypatch.setattr(simulator, "_shuffle_lanes", None)
+        assert backward_steps(covers, threshold, 30, 4).tolist() == [-1] * 30
+
+    def _walk_taken(self, catalog, campaign):
+        taken = []
+        with pytest.MonkeyPatch.context() as patch:
+            for name in ("forward_steps", "backward_steps"):
+                walk = getattr(simulator, name)
+                patch.setattr(
+                    simulator,
+                    name,
+                    lambda *args, _walk=walk, _name=name: taken.append(_name) or _walk(*args),
+                )
+            summary = random_baseline(catalog, campaign, trials=300, seed=9)
+        return taken, summary
+
+    def test_late_blocking_campaign_walks_backward(self, v13_catalog, caplog):
+        # T1112 has 1 cover <= 2k - 1 = 1.
+        caplog.set_level(logging.INFO, logger="mitiplan.simulator")
+        campaign = Campaign(techniques=("T1112", "T1059"))
+        taken, summary = self._walk_taken(v13_catalog, campaign)
+        assert taken == ["backward_steps"]
+        assert caplog.messages == [
+            "random baseline: backward walk (T1112 has 1 covers, <= 2k-1 = 1)"
+        ]
+        covers = simulator._cover_matrix(v13_catalog, ("T1059", "T1112"))
+        steps = forward_steps(covers, 1, 300, 9)
+        assert summary.mean_steps == float(steps.mean())
+
+    def test_early_blocking_campaign_walks_forward(self, v13_catalog, caplog):
+        # The README campaign: T1053 has 4 covers, T1059 7; both > 2k - 1.
+        caplog.set_level(logging.INFO, logger="mitiplan.simulator")
+        campaign = Campaign(techniques=("T1053", "T1059"))
+        taken, _ = self._walk_taken(v13_catalog, campaign)
+        assert taken == ["forward_steps"]
+        assert caplog.messages == [
+            "random baseline: forward walk (T1053 has 4 covers, > 2k-1 = 1)"
+        ]
+
+    def test_threshold_moves_the_boundary(self, v13_catalog):
+        # T1053's 4 covers take the forward walk at k = 2 (2k - 1 = 3) and
+        # the backward walk at k = 3.
+        taken = [
+            self._walk_taken(v13_catalog, Campaign(techniques=("T1053",), block_threshold=k))[0]
+            for k in (2, 3)
+        ]
+        assert taken == [["forward_steps"], ["backward_steps"]]
 
 
 def _oracle_batch(orders, covers, threshold):
