@@ -23,6 +23,8 @@ CATALOG_SCHEMA_VERSION = 1
 # other scripts' digits and `$` a trailing newline.
 _TECHNIQUE_ID_RE = re.compile(r"T[0-9]{4}(?:\.[0-9]{3})?")
 _MITIGATION_ID_RE = re.compile(r"M[0-9]{4}")
+_is_technique_id = _TECHNIQUE_ID_RE.fullmatch
+_is_mitigation_id = _MITIGATION_ID_RE.fullmatch
 
 
 def parse_technique_id(value: str) -> str:
@@ -71,7 +73,12 @@ def _check_name(entity_id: str, name) -> None:
         ) from None
 
 
-@dataclass(frozen=True)
+# Each entity accepts the common case (an exact str ID and an ASCII str
+# name, real bool flags) in one inline test, and runs the full checks,
+# which raise the messages, only when that test fails.
+
+
+@dataclass(frozen=True, slots=True)
 class Technique:
     id: str
     name: str = ""
@@ -79,20 +86,34 @@ class Technique:
     deprecated: bool = False
 
     def __post_init__(self):
-        parse_technique_id(self.id)
-        _check_name(self.id, self.name)
-        _check_type(self.id, "revoked", self.revoked, bool)
-        _check_type(self.id, "deprecated", self.deprecated, bool)
+        if not (
+            type(self.id) is str
+            and _is_technique_id(self.id)
+            and type(self.name) is str
+            and self.name.isascii()
+            and type(self.revoked) is bool
+            and type(self.deprecated) is bool
+        ):
+            parse_technique_id(self.id)
+            _check_name(self.id, self.name)
+            _check_type(self.id, "revoked", self.revoked, bool)
+            _check_type(self.id, "deprecated", self.deprecated, bool)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Mitigation:
     id: str
     name: str = ""
 
     def __post_init__(self):
-        parse_mitigation_id(self.id)
-        _check_name(self.id, self.name)
+        if not (
+            type(self.id) is str
+            and _is_mitigation_id(self.id)
+            and type(self.name) is str
+            and self.name.isascii()
+        ):
+            parse_mitigation_id(self.id)
+            _check_name(self.id, self.name)
 
 
 @dataclass(frozen=True)
@@ -211,6 +232,12 @@ def collapse_subtechniques(catalog: Catalog) -> Catalog:
     )
 
 
+# What json.loads raises on a malformed document: bytes that its detected
+# encoding cannot decode are a UnicodeDecodeError rather than a
+# JSONDecodeError, and nesting too deep for the decoder a RecursionError.
+_JSON_ERRORS = (json.JSONDecodeError, UnicodeDecodeError, RecursionError)
+
+
 def _external_attack_id(obj: dict, index: int) -> str | None:
     refs = obj.get("external_references")
     if refs is None:
@@ -295,7 +322,7 @@ def parse_stix_bundle(
     if isinstance(data, (bytes, str)):
         try:
             data = json.loads(data)
-        except json.JSONDecodeError as exc:
+        except _JSON_ERRORS as exc:
             raise ParseError(f"bundle is not valid JSON: {exc}") from exc
     if not isinstance(data, dict) or data.get("type") != "bundle":
         raise ParseError("not a STIX bundle: top-level type must be 'bundle'")
@@ -391,9 +418,11 @@ def _read_rows(data: bytes | str, label: str, header: str) -> list[tuple[int, li
 
     A leading byte-order mark, as spreadsheet exports write, is ignored.
     Only the CSV reader splits lines, so a quoted cell keeps its line
-    breaks and an unquoted one keeps separators such as U+2028.  Rows are
-    numbered from 1 after the header, blank rows included, and blank rows
-    are then left out.
+    breaks and an unquoted one keeps separators such as U+2028.  Reading
+    is strict: a quoted cell left open at the end of the data, or
+    followed by anything but a separator, raises :class:`ParseError`.
+    Rows are numbered from 1 after the header, blank rows included, and
+    blank rows are then left out.
     """
     import csv
     import io
@@ -403,7 +432,13 @@ def _read_rows(data: bytes | str, label: str, header: str) -> list[tuple[int, li
             data = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ParseError(f"{label}: not valid UTF-8: {exc}") from exc
-    rows = list(csv.reader(io.StringIO(data.removeprefix("\ufeff"), newline="")))
+    reader = csv.reader(io.StringIO(data.removeprefix("\ufeff"), newline=""), strict=True)
+    rows = []
+    try:
+        rows.extend(reader)
+    except csv.Error as exc:
+        where = f"row {len(rows)}" if rows else "header"
+        raise ParseError(f"{label} {where}: malformed CSV: {exc}") from None
     if not rows or ",".join(rows[0]) != header:
         raise ParseError(f"{label}: header must be exactly {header!r}")
     return [
@@ -411,6 +446,15 @@ def _read_rows(data: bytes | str, label: str, header: str) -> list[tuple[int, li
         for rownum, row in enumerate(rows[1:], start=1)
         if row and any(cell.strip() for cell in row)
     ]
+
+
+def _csv_field(cell: str) -> str:
+    """A CSV cell, quoted with inner quotes doubled exactly when it holds
+    a separator, a quote or a line break, so :func:`_read_rows` reads it
+    back intact."""
+    if "," in cell or '"' in cell or "\n" in cell or "\r" in cell:
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
 
 
 def parse_mapping_csv(
@@ -533,7 +577,7 @@ def dumps_catalog(catalog: Catalog) -> bytes:
 def loads_catalog(data: bytes | str) -> Catalog:
     try:
         doc = json.loads(data)
-    except json.JSONDecodeError as exc:
+    except _JSON_ERRORS as exc:
         raise ParseError(f"catalog file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("catalog document must be a JSON object")

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import io
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -22,6 +23,48 @@ from .scoring import WeightVector, weights_sha256
 logger = logging.getLogger(__name__)
 
 
+@dataclass(frozen=True, eq=False, repr=False)
+class Provenance:
+    """The catalog and weights a matrix was built from, and their hashes.
+
+    Each SHA-256 is computed on first read and then kept, so an op that
+    prints no provenance never serializes its inputs to hash them.  A
+    holder without inputs reads ``""`` for both.  Holders compare and
+    hash by the two digests, so plans keep provenance in their equality.
+    """
+
+    catalog: Catalog | None = None
+    weights: WeightVector | None = None
+
+    @cached_property
+    def catalog_hash(self) -> str:
+        return "" if self.catalog is None else catalog_sha256(self.catalog)
+
+    @cached_property
+    def weights_hash(self) -> str:
+        return "" if self.weights is None else weights_sha256(self.weights)
+
+    def _key(self) -> tuple[str, str]:
+        return self.catalog_hash, self.weights_hash
+
+    def __eq__(self, other):
+        if not isinstance(other, Provenance):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (
+            f"Provenance(catalog_hash={self.catalog_hash!r}, "
+            f"weights_hash={self.weights_hash!r})"
+        )
+
+
+NO_PROVENANCE = Provenance()
+
+
 @dataclass(frozen=True, eq=False)
 class DecisionMatrix:
     """Coverage matrix plus per-technique weights.
@@ -29,7 +72,8 @@ class DecisionMatrix:
     ``coverage[i, j]`` is mitigation i's share of technique j (0 when
     unmapped).  ``weighted()`` applies the weights; its column sums equal
     the weights.  Rows are sorted by mitigation ID; columns follow the
-    weight vector's order.
+    weight vector's order.  ``provenance`` holds the inputs the matrix
+    was built from, and ``catalog_hash`` / ``weights_hash`` read it.
     """
 
     mitigation_ids: tuple[str, ...]
@@ -37,8 +81,7 @@ class DecisionMatrix:
     coverage: np.ndarray
     weights: np.ndarray
     dropped_techniques: tuple[str, ...] = ()
-    catalog_hash: str = ""
-    weights_hash: str = ""
+    provenance: Provenance = NO_PROVENANCE
 
     def __post_init__(self):
         coverage = np.array(self.coverage, dtype=float)
@@ -62,6 +105,14 @@ class DecisionMatrix:
     @property
     def shape(self) -> tuple[int, int]:
         return self.coverage.shape
+
+    @property
+    def catalog_hash(self) -> str:
+        return self.provenance.catalog_hash
+
+    @property
+    def weights_hash(self) -> str:
+        return self.provenance.weights_hash
 
     @property
     def counts(self) -> np.ndarray:
@@ -176,8 +227,7 @@ def build_decision_matrix(
         coverage=coverage,
         weights=weight_values,
         dropped_techniques=tuple(empty),
-        catalog_hash=catalog_sha256(catalog),
-        weights_hash=weights_sha256(weights),
+        provenance=Provenance(catalog, weights),
     )
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import McdmError, ValidationError
-from .matrix import DecisionMatrix
+from .matrix import NO_PROVENANCE, DecisionMatrix, Provenance
 
 METHODS = ("wsm", "wpm", "topsis")
 
@@ -55,12 +55,15 @@ class PlanEntry:
 
 @dataclass(frozen=True)
 class RankedPlan:
-    """Mitigations ordered best-first, with provenance hashes."""
+    """Mitigations ordered best-first, with the matrix's provenance.
+
+    ``catalog_hash`` / ``weights_hash`` read the provenance, which
+    computes each hash on first read.
+    """
 
     method: str
     entries: tuple[PlanEntry, ...]
-    catalog_hash: str = ""
-    weights_hash: str = ""
+    provenance: Provenance = NO_PROVENANCE
 
     def __post_init__(self):
         ranks = [entry.rank for entry in self.entries]
@@ -72,6 +75,14 @@ class RankedPlan:
             if round(later.score, TIE_DECIMALS) > round(earlier.score, TIE_DECIMALS):
                 raise ValidationError("scores must be nonincreasing along the plan")
 
+    @property
+    def catalog_hash(self) -> str:
+        return self.provenance.catalog_hash
+
+    @property
+    def weights_hash(self) -> str:
+        return self.provenance.weights_hash
+
     def mitigation_order(self) -> tuple[str, ...]:
         return tuple(entry.mitigation_id for entry in self.entries)
 
@@ -82,8 +93,7 @@ class RankedPlan:
         return RankedPlan(
             method=self.method,
             entries=self.entries[:k],
-            catalog_hash=self.catalog_hash,
-            weights_hash=self.weights_hash,
+            provenance=self.provenance,
         )
 
 
@@ -212,6 +222,5 @@ def rank(scores: ScoreVector, matrix: DecisionMatrix) -> RankedPlan:
     return RankedPlan(
         method=scores.method,
         entries=tuple(entries),
-        catalog_hash=matrix.catalog_hash,
-        weights_hash=matrix.weights_hash,
+        provenance=matrix.provenance,
     )

@@ -8,14 +8,12 @@ pinned.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import time
 from dataclasses import dataclass, replace
 
 from ._version import __version__
-from .catalog import parse_mitigation_id
+from .catalog import _check_name, _csv_field, parse_mitigation_id
 from .errors import ValidationError
 from .mcdm import PlanEntry, RankedPlan
 
@@ -97,20 +95,17 @@ def _render_json(document: PlanDocument) -> bytes:
 
 
 def _render_csv(document: PlanDocument) -> bytes:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(PLAN_CSV_HEADER.split(","))
+    lines = [PLAN_CSV_HEADER + "\n"]
     for entry in document.entries:
-        writer.writerow(
-            [
-                entry.rank,
-                entry.mitigation_id,
-                entry.name,
-                f"{entry.score:.{SCORE_DECIMALS}f}",
-                ";".join(entry.covered_techniques),
-            ]
+        cells = (
+            str(entry.rank),
+            entry.mitigation_id,
+            entry.name,
+            f"{entry.score:.{SCORE_DECIMALS}f}",
+            ";".join(entry.covered_techniques),
         )
-    return buffer.getvalue().encode("utf-8")
+        lines.append(",".join(map(_csv_field, cells)) + "\n")
+    return "".join(lines).encode("utf-8")
 
 
 def _render_markdown(document: PlanDocument) -> bytes:
@@ -155,6 +150,20 @@ def render_plan(
     return render_plan_document(build_plan_document(plan, names, timestamp), fmt)
 
 
+def _plan_entry(entry: dict) -> PlanEntry:
+    """A plan document entry; its name is checked as a catalog name is,
+    so every format can render it."""
+    mid = parse_mitigation_id(entry["mitigation_id"])
+    _check_name(mid, entry["name"])
+    return PlanEntry(
+        rank=entry["rank"],
+        mitigation_id=mid,
+        score=entry["score"],
+        covered_techniques=tuple(entry["covered_techniques"]),
+        name=entry["name"],
+    )
+
+
 def plan_document_from_json(data: bytes) -> PlanDocument:
     """Inverse of the JSON rendering; round-trips exactly."""
     try:
@@ -162,16 +171,7 @@ def plan_document_from_json(data: bytes) -> PlanDocument:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValidationError(f"not a plan document: {exc}") from exc
     try:
-        entries = tuple(
-            PlanEntry(
-                rank=entry["rank"],
-                mitigation_id=parse_mitigation_id(entry["mitigation_id"]),
-                score=entry["score"],
-                covered_techniques=tuple(entry["covered_techniques"]),
-                name=entry["name"],
-            )
-            for entry in doc["entries"]
-        )
+        entries = tuple(_plan_entry(entry) for entry in doc["entries"])
         return PlanDocument(
             tool_version=doc["tool_version"],
             method=doc["method"],

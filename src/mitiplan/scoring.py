@@ -8,21 +8,40 @@ weights (see the README recipe).
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .catalog import _read_rows, parse_technique_id
+from .catalog import (
+    _check_name,
+    _csv_field,
+    _is_technique_id,
+    _read_rows,
+    parse_technique_id,
+)
 from .errors import ParseError, ValidationError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WeightEntry:
+    """One technique's weight.  The ID and name are checked here, as the
+    catalog entities check theirs; the weight is checked by
+    :class:`WeightVector` and :func:`load_weights`."""
+
     technique_id: str
     weight: float
     name: str = ""
+
+    def __post_init__(self):
+        if not (
+            type(self.technique_id) is str
+            and _is_technique_id(self.technique_id)
+            and type(self.name) is str
+            and self.name.isascii()
+        ):
+            parse_technique_id(self.technique_id)
+            _check_name(self.technique_id, self.name)
 
 
 @dataclass(frozen=True)
@@ -45,7 +64,6 @@ class WeightVector:
         seen = set()
         for entry in self.entries:
             tid = entry.technique_id
-            parse_technique_id(tid)
             if not 0 < entry.weight < math.inf:
                 raise ValidationError(
                     f"weight for {tid} must be finite and positive, got {entry.weight}"
@@ -99,32 +117,28 @@ def load_weights(data: bytes | str) -> WeightVector:
                 f"got {score}"
             )
         try:
-            parse_technique_id(tid)
+            entry = WeightEntry(technique_id=tid, weight=score, name=name)
         except ValidationError as exc:
             raise ParseError(f"weights CSV row {rownum}: {exc}") from exc
         if tid in seen:
             raise ParseError(f"weights CSV row {rownum}: duplicate technique {tid}")
         seen.add(tid)
-        entries.append(WeightEntry(technique_id=tid, weight=score, name=name))
+        entries.append(entry)
     return WeightVector.from_entries(entries)
 
 
 def render_weights_csv(weights: WeightVector) -> bytes:
-    """Inverse of :func:`load_weights`; scores use shortest round-trip repr."""
-    import io
+    """Inverse of :func:`load_weights`; scores use shortest round-trip repr.
 
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(WEIGHTS_CSV_HEADER.split(","))
+    Only the name can need quoting: the other cells are a count, a float
+    and a checked technique ID.
+    """
+    lines = [WEIGHTS_CSV_HEADER + "\n"]
     for position, entry in enumerate(weights.entries, start=1):
-        if "\r" in entry.name:
-            # Before 3.13 the writer leaves a bare CR unquoted, and a reader
-            # ends the row there; quote it as 3.13 does.
-            name = entry.name.replace('"', '""')
-            buffer.write(f'{position},{entry.weight!r},{entry.technique_id},"{name}"\n')
-        else:
-            writer.writerow([position, repr(entry.weight), entry.technique_id, entry.name])
-    return buffer.getvalue().encode("utf-8")
+        lines.append(
+            f"{position},{entry.weight!r},{entry.technique_id},{_csv_field(entry.name)}\n"
+        )
+    return "".join(lines).encode("utf-8")
 
 
 def weights_sha256(weights: WeightVector) -> str:

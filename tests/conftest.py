@@ -26,6 +26,24 @@ def v13_matrix(v13_catalog, v13_weights):
     return build_decision_matrix(v13_catalog, v13_weights)
 
 
+@pytest.fixture()
+def hash_calls(monkeypatch):
+    """Counts the calls ``mitiplan.matrix`` makes of the two hash functions."""
+    import mitiplan.matrix
+
+    calls = {"catalog": 0, "weights": 0}
+    for key in calls:
+        name = f"{key}_sha256"
+        original = getattr(mitiplan.matrix, name)
+
+        def counted(value, key=key, original=original):
+            calls[key] += 1
+            return original(value)
+
+        monkeypatch.setattr(mitiplan.matrix, name, counted)
+    return calls
+
+
 def pytest_terminal_summary(terminalreporter):
     """Print the acceptance verdict lines after the run."""
     try:

@@ -765,3 +765,73 @@ class TestRepeatedRuns:
         assert fresh[1][1].startswith("rank,mitigation_id,")
         assert fresh[2][1] == "mitiplan 0.1.0\n"
         assert reused == fresh
+
+
+class TestProvenanceOnDemand:
+    """Each command hashes its inputs only when its output carries them."""
+
+    def _inputs(self, fixture_dir):
+        return [
+            "--catalog",
+            str(fixture_dir / "paper_v13_catalog.json"),
+            "--weights",
+            str(fixture_dir / "paper_v13_weights.csv"),
+        ]
+
+    def _simulate(self, fixture_dir, *extra):
+        return run(
+            ["simulate", *self._inputs(fixture_dir), "--campaign", "T1053,T1059",
+             "--trials", "50", *extra]
+        )
+
+    def test_simulate_without_out_hashes_nothing(self, fixture_dir, hash_calls, capsys):
+        assert self._simulate(fixture_dir) == 0
+        assert hash_calls == {"catalog": 0, "weights": 0}
+
+    def test_simulate_with_out_hashes_each_once(
+        self, fixture_dir, tmp_path, hash_calls, capsys
+    ):
+        assert self._simulate(fixture_dir, "--out", str(tmp_path / "sim.json")) == 0
+        assert hash_calls == {"catalog": 1, "weights": 1}
+
+    def test_rank_json_hashes_each_once(self, fixture_dir, hash_calls, capsys):
+        assert run(_rank_args(fixture_dir, "--format", "json", "--out", "-")) == 0
+        assert hash_calls == {"catalog": 1, "weights": 1}
+
+    def test_matrix_hashes_nothing(self, fixture_dir, hash_calls, capsys):
+        assert run(["matrix", *self._inputs(fixture_dir), "--out", "-"]) == 0
+        assert hash_calls == {"catalog": 0, "weights": 0}
+
+
+class TestMalformedCsv:
+    """An unclosed quoted cell, or junk after its closing quote, is a
+    data error with the file's label and row."""
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ('"abc', "error: weights CSV row 3: malformed CSV: unexpected end of data\n"),
+            ('"abc"d', "error: weights CSV row 3: malformed CSV: ',' expected after '\"'\n"),
+        ],
+    )
+    def test_weights_exit_1_without_traceback(self, fixture_dir, capsys, bad, message):
+        path = fixture_dir / "paper_v13_weights.csv"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[3] = lines[3].rsplit(",", 1)[0] + "," + bad + "\n"
+        path.write_text("".join(lines[:4]), encoding="utf-8")
+        assert run(_rank_args(fixture_dir, "--out", "-")) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == message
+
+    def test_mapping_csv_exit_1(self, fixture_dir, tmp_path, capsys):
+        mappings = tmp_path / "mappings.csv"
+        mappings.write_text('technique_id,mitigation_id\nT1053,"M1047\n', encoding="utf-8")
+        code = run(
+            ["ingest", "csv", "--techniques", str(fixture_dir / "paper_v13_techniques.csv"),
+             "--mappings", str(mappings), "--out", "-"]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: mapping CSV row 1: malformed CSV: unexpected end of data\n"
+        )

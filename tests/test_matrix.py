@@ -7,15 +7,17 @@ import random
 import numpy as np
 import pytest
 
-from mitiplan.catalog import Catalog, Mitigation, Technique
+from mitiplan.catalog import Catalog, Mitigation, Technique, catalog_sha256
 from mitiplan.errors import CatalogError, ValidationError
 from mitiplan.matrix import (
     DecisionMatrix,
+    Provenance,
     build_decision_matrix,
     export_matrix_csv,
     mapping_counts,
 )
-from mitiplan.scoring import WeightEntry, WeightVector
+from mitiplan.mcdm import RankedPlan, rank, wsm_scores
+from mitiplan.scoring import WeightEntry, WeightVector, weights_sha256
 
 from reference import (
     CONSISTENT_COLUMNS,
@@ -169,6 +171,58 @@ class TestBuild:
     def test_provenance_hashes_set(self, v13_matrix):
         assert len(v13_matrix.catalog_hash) == 64
         assert len(v13_matrix.weights_hash) == 64
+
+
+class TestProvenance:
+    def test_hashes_match_inputs(self, v13_catalog, v13_weights):
+        matrix = build_decision_matrix(v13_catalog, v13_weights)
+        assert matrix.catalog_hash == catalog_sha256(v13_catalog)
+        assert matrix.weights_hash == weights_sha256(v13_weights)
+
+    def test_each_hash_computed_once_on_first_read(
+        self, v13_catalog, v13_weights, hash_calls
+    ):
+        matrix = build_decision_matrix(v13_catalog, v13_weights)
+        assert hash_calls == {"catalog": 0, "weights": 0}
+        plan = rank(wsm_scores(matrix), matrix).top(3)
+        assert hash_calls == {"catalog": 0, "weights": 0}
+        assert plan.catalog_hash == catalog_sha256(v13_catalog)
+        assert hash_calls == {"catalog": 1, "weights": 0}
+        assert plan.weights_hash == matrix.weights_hash == weights_sha256(v13_weights)
+        assert matrix.catalog_hash == plan.catalog_hash
+        assert hash_calls == {"catalog": 1, "weights": 1}
+
+    def test_rank_and_top_keep_both_hashes(self, v13_matrix):
+        plan = rank(wsm_scores(v13_matrix), v13_matrix)
+        for kept in (plan, plan.top(2), plan.top(0)):
+            assert kept.catalog_hash == v13_matrix.catalog_hash
+            assert kept.weights_hash == v13_matrix.weights_hash
+
+    def test_built_without_inputs_reads_empty(self):
+        matrix = DecisionMatrix(
+            mitigation_ids=("M1026",),
+            technique_ids=("T1053",),
+            coverage=np.array([[1.0]]),
+            weights=np.array([2.0]),
+        )
+        assert matrix.catalog_hash == matrix.weights_hash == ""
+        plan = rank(wsm_scores(matrix), matrix)
+        assert plan.catalog_hash == plan.weights_hash == ""
+        assert RankedPlan(method="wsm", entries=()).catalog_hash == ""
+        assert Provenance() == Provenance(None, None)
+
+    def test_plan_equality_compares_hashes(self, v13_catalog, v13_weights):
+        first = build_decision_matrix(v13_catalog, v13_weights)
+        again = build_decision_matrix(v13_catalog, v13_weights)
+        # Equal inputs, distinct objects: equal by hash value.
+        assert rank(wsm_scores(first), first) == rank(wsm_scores(again), again)
+        scaled = _weights([(e.technique_id, e.weight * 2) for e in v13_weights.entries])
+        other = build_decision_matrix(v13_catalog, scaled)
+        plan = rank(wsm_scores(first), first)
+        moved = RankedPlan(plan.method, plan.entries, other.provenance)
+        assert moved.catalog_hash == plan.catalog_hash
+        assert moved != plan
+        assert hash(Provenance(v13_catalog)) == hash(Provenance(v13_catalog))
 
 
 class TestMatrixType:

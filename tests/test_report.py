@@ -1,20 +1,27 @@
 from __future__ import annotations
 
+import csv
+import io
 import json
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mitiplan.errors import ValidationError
-from mitiplan.mcdm import RankedPlan, rank, wsm_scores
+from mitiplan.mcdm import PlanEntry, RankedPlan, rank, wsm_scores
 from mitiplan.report import (
     PLAN_CSV_HEADER,
     PLAN_FORMATS,
+    PlanDocument,
     build_plan_document,
     plan_document_from_json,
     render_plan,
     render_plan_document,
 )
+
+from mitiplan.scoring import WeightEntry, WeightVector, render_weights_csv
 
 from reference import published_matrix, published_total_scores
 
@@ -65,6 +72,20 @@ class TestJson:
         with pytest.raises(ValidationError, match="invalid mitigation ID: 'M10'"):
             plan_document_from_json(json.dumps(doc).encode("utf-8"))
 
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            (7, "M1026: name must be a str, got 7"),
+            ("\ud800", "M1026: name is not encodable as UTF-8 (surrogates not allowed at index 0)"),
+        ],
+    )
+    def test_rejects_name_no_format_can_render(self, v13_plan, name, message):
+        doc = json.loads(render_plan(v13_plan, "json", timestamp=PINNED))
+        doc["entries"][0]["name"] = name
+        with pytest.raises(ValidationError) as info:
+            plan_document_from_json(json.dumps(doc).encode("utf-8"))
+        assert str(info.value) == message
+
     def test_entries_carry_names(self, v13_plan):
         doc = build_plan_document(v13_plan, names={"M1026": "PAM"}, timestamp=PINNED)
         assert doc.entries[0].name == "PAM"
@@ -98,6 +119,56 @@ class TestCsv:
         empty = RankedPlan(method="wsm", entries=())
         data = render_plan(empty, "csv", timestamp=PINNED)
         assert data == (PLAN_CSV_HEADER + "\n").encode()
+
+
+# Names built from the cells a CSV writer treats specially, and others it
+# does not, around plain letters.
+_NAME_ALPHABET = ["a", "é", ",", '"', "'", ";", "\\", "\n", "\t", " ", "\u2028", "\0"]
+
+
+def _csv_writer_bytes(rows) -> bytes:
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    return buffer.getvalue().encode("utf-8")
+
+
+class TestCsvFieldRule:
+    """Both CSV writers quote a cell exactly when it holds a separator, a
+    quote or a line break, as ``csv.writer`` does for every cell without
+    a bare CR."""
+
+    def test_cr_in_name_reads_back(self, v13_plan):
+        names = {"M1026": "a\rb", "M1038": 'x,"y"\r\nz'}
+        data = render_plan(v13_plan, "csv", names=names, timestamp=PINNED)
+        rows = list(csv.reader(io.StringIO(data.decode("utf-8"), newline="")))
+        assert len(rows) == 1 + len(v13_plan.entries)
+        assert rows[1][:3] == ["1", "M1026", "a\rb"]
+        assert rows[2][:3] == ["2", "M1038", 'x,"y"\r\nz']
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.text(alphabet=_NAME_ALPHABET, max_size=6), min_size=1, max_size=4))
+    def test_writers_match_csv_writer(self, names):
+        entries = tuple(
+            PlanEntry(rank, f"M{1000 + rank}", 1.0, ("T1053", "T1059"), name)
+            for rank, name in enumerate(names, start=1)
+        )
+        plan_csv = render_plan_document(
+            PlanDocument("0", "wsm", "", "", PINNED, entries), "csv"
+        )
+        assert plan_csv == _csv_writer_bytes(
+            [PLAN_CSV_HEADER.split(",")]
+            + [[e.rank, e.mitigation_id, e.name, "1.000000", "T1053;T1059"] for e in entries]
+        )
+        weights = WeightVector.from_entries(
+            WeightEntry(f"T{1000 + i}", 1.0 / i, name) for i, name in enumerate(names, start=1)
+        )
+        assert render_weights_csv(weights) == _csv_writer_bytes(
+            [["no", "score", "tid", "name"]]
+            + [
+                [position, repr(e.weight), e.technique_id, e.name]
+                for position, e in enumerate(weights.entries, start=1)
+            ]
+        )
 
 
 class TestMarkdown:
