@@ -582,7 +582,8 @@ def loads_catalog(data: bytes | str) -> Catalog:
     if not isinstance(doc, dict):
         raise ParseError("catalog document must be a JSON object")
     version = doc.get("schema_version")
-    if version != CATALOG_SCHEMA_VERSION:
+    # JSON's true and 1.0 compare equal to 1, but are not the version.
+    if type(version) is not int or version != CATALOG_SCHEMA_VERSION:
         raise SchemaVersionError(
             f"unsupported catalog schema version {version!r} "
             f"(expected {CATALOG_SCHEMA_VERSION})"

@@ -13,7 +13,13 @@ import time
 from dataclasses import dataclass, replace
 
 from ._version import __version__
-from .catalog import _check_name, _csv_field, parse_mitigation_id
+from .catalog import (
+    _JSON_ERRORS,
+    _check_name,
+    _csv_field,
+    parse_mitigation_id,
+    parse_technique_id,
+)
 from .errors import ValidationError
 from .mcdm import PlanEntry, RankedPlan
 
@@ -22,6 +28,11 @@ PLAN_FORMATS = ("json", "csv", "markdown")
 PLAN_CSV_HEADER = "rank,mitigation_id,name,score,covered_techniques"
 
 SCORE_DECIMALS = 6
+
+
+def _check_timestamp(timestamp: int) -> None:
+    if timestamp < 0:
+        raise ValidationError("timestamp must be UTC seconds >= 0")
 
 
 @dataclass(frozen=True)
@@ -36,8 +47,7 @@ class PlanDocument:
     entries: tuple[PlanEntry, ...]
 
     def __post_init__(self):
-        if self.timestamp < 0:
-            raise ValidationError("timestamp must be UTC seconds >= 0")
+        _check_timestamp(self.timestamp)
         ranks = [entry.rank for entry in self.entries]
         if ranks != list(range(1, len(self.entries) + 1)):
             raise ValidationError("entries must be in rank order 1..m")
@@ -62,6 +72,14 @@ class PlanDocument:
         }
 
 
+def _named_entries(plan: RankedPlan, names: dict[str, str] | None) -> tuple[PlanEntry, ...]:
+    names = names or {}
+    return tuple(
+        replace(entry, name=names.get(entry.mitigation_id, ""))
+        for entry in plan.entries
+    )
+
+
 def build_plan_document(
     plan: RankedPlan,
     names: dict[str, str] | None = None,
@@ -72,20 +90,15 @@ def build_plan_document(
     `names` maps mitigation IDs to display names (missing IDs render
     empty).  `timestamp` pins the metadata clock; defaults to now.
     """
-    names = names or {}
     if timestamp is None:
         timestamp = int(time.time())
-    entries = tuple(
-        replace(entry, name=names.get(entry.mitigation_id, ""))
-        for entry in plan.entries
-    )
     return PlanDocument(
         tool_version=__version__,
         method=plan.method,
         catalog_hash=plan.catalog_hash,
         weights_hash=plan.weights_hash,
         timestamp=timestamp,
-        entries=entries,
+        entries=_named_entries(plan, names),
     )
 
 
@@ -94,9 +107,9 @@ def _render_json(document: PlanDocument) -> bytes:
     return (text + "\n").encode("utf-8")
 
 
-def _render_csv(document: PlanDocument) -> bytes:
+def _render_csv(entries: tuple[PlanEntry, ...]) -> bytes:
     lines = [PLAN_CSV_HEADER + "\n"]
-    for entry in document.entries:
+    for entry in entries:
         cells = (
             str(entry.rank),
             entry.mitigation_id,
@@ -108,12 +121,12 @@ def _render_csv(document: PlanDocument) -> bytes:
     return "".join(lines).encode("utf-8")
 
 
-def _render_markdown(document: PlanDocument) -> bytes:
+def _render_markdown(entries: tuple[PlanEntry, ...]) -> bytes:
     lines = [
         "| rank | mitigation_id | name | score | covered_techniques |",
         "| ---: | --- | --- | ---: | --- |",
     ]
-    for entry in document.entries:
+    for entry in entries:
         lines.append(
             "| {} | {} | {} | {:.{p}f} | {} |".format(
                 entry.rank,
@@ -127,14 +140,19 @@ def _render_markdown(document: PlanDocument) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
+def _render_entries(entries: tuple[PlanEntry, ...], fmt: str) -> bytes:
+    """The text formats, which print entries only."""
+    if fmt == "csv":
+        return _render_csv(entries)
+    if fmt == "markdown":
+        return _render_markdown(entries)
+    raise ValidationError(f"unknown format {fmt!r} (expected one of {PLAN_FORMATS})")
+
+
 def render_plan_document(document: PlanDocument, fmt: str) -> bytes:
     if fmt == "json":
         return _render_json(document)
-    if fmt == "csv":
-        return _render_csv(document)
-    if fmt == "markdown":
-        return _render_markdown(document)
-    raise ValidationError(f"unknown format {fmt!r} (expected one of {PLAN_FORMATS})")
+    return _render_entries(document.entries, fmt)
 
 
 def render_plan(
@@ -145,9 +163,14 @@ def render_plan(
 ) -> bytes:
     """Render a ranked plan to one of the supported formats.
 
-    Same plan, same pinned timestamp, same bytes.
+    Same plan, same pinned timestamp, same bytes.  Only JSON prints the
+    provenance, so only JSON reads the plan's input hashes.
     """
-    return render_plan_document(build_plan_document(plan, names, timestamp), fmt)
+    if fmt == "json":
+        return _render_json(build_plan_document(plan, names, timestamp))
+    if timestamp is not None:
+        _check_timestamp(timestamp)
+    return _render_entries(_named_entries(plan, names), fmt)
 
 
 def _plan_entry(entry: dict) -> PlanEntry:
@@ -155,11 +178,16 @@ def _plan_entry(entry: dict) -> PlanEntry:
     so every format can render it."""
     mid = parse_mitigation_id(entry["mitigation_id"])
     _check_name(mid, entry["name"])
+    covered = entry["covered_techniques"]
+    if not isinstance(covered, list):
+        raise ValidationError(
+            f"not a plan document: covered_techniques of {mid} must be a list"
+        )
     return PlanEntry(
         rank=entry["rank"],
         mitigation_id=mid,
         score=entry["score"],
-        covered_techniques=tuple(entry["covered_techniques"]),
+        covered_techniques=tuple(map(parse_technique_id, covered)),
         name=entry["name"],
     )
 
@@ -168,7 +196,7 @@ def plan_document_from_json(data: bytes) -> PlanDocument:
     """Inverse of the JSON rendering; round-trips exactly."""
     try:
         doc = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except _JSON_ERRORS as exc:
         raise ValidationError(f"not a plan document: {exc}") from exc
     try:
         entries = tuple(_plan_entry(entry) for entry in doc["entries"])

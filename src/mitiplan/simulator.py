@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import logging
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -248,25 +249,57 @@ def _cover_matrix(catalog: Catalog, resolved: tuple[str, ...]) -> np.ndarray:
 
 
 # Philox4x64-10 (Salmon et al., SC 2011), as NumPy's Philox bit generator
-# implements it: the multipliers for counter words 0 and 2, and the Weyl
-# increments added to the two key words after each round.
-_PHILOX_M = ((0xD2E7470EE14C6C93,), (0xCA5A826395121157,))
-_PHILOX_W = ((0x9E3779B97F4A7C15,), (0xBB67AE8584CAA73B,))
+# implements it: the multipliers for counter words 0 and 2, split into
+# 32-bit halves for `_mulhi`, and the Weyl increments added to the two key
+# words after each round.  Each is a (2, 1) column that broadcasts across
+# a block's lanes.
 _LOW32 = 0xFFFFFFFF
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_PHILOX_M_LO = _PHILOX_M & _LOW32
+_PHILOX_M_HI = _PHILOX_M >> 32
+_PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
 
-# Trials in flight at once.  Scratch memory grows with this, not with
-# the trial count.
-TRIAL_LANES = 2048
+# Where a 64-bit word's low and high 32-bit halves sit in its uint32 view.
+_HALVES = (0, 1) if sys.byteorder == "little" else (1, 0)
+
+# Scratch memory a lane pool may hold, whatever the trial count: 1.125 MiB.
+# Each walk fits as many lanes as its own bytes per lane allow, so a walk
+# with lean lanes runs more trials per round, and so makes fewer NumPy
+# calls per trial, while a walk with wide lanes holds no more memory.
+SCRATCH_BYTES = 9 * 2**17
+
+# Bytes every lane holds at a pool's peak: its state (slot, trial,
+# counter, i and row offset, 8 bytes each) and its share of a round's
+# temporaries, the Philox block in flight and the arrays made for each
+# word it tests.  tracemalloc puts the whole at 175 to 195 bytes.
+_LANE_BYTES = 192
+
+
+def _pool_width(trials: int, lane_bytes: int) -> int:
+    """Lanes in a pool whose lanes hold `lane_bytes` each: as many as
+    SCRATCH_BYTES holds, but at least one, and no more than `trials`."""
+    return min(trials, max(1, SCRATCH_BYTES // lane_bytes))
 
 
 def _mulhi(a, b_lo, b_hi):
     """High 64 bits of the 128-bit products a * b, given b's 32-bit
-    halves; uint64 arithmetic wraps mod 2^64."""
+    halves; uint64 arithmetic wraps mod 2^64.  Works in place on its
+    own temporaries, so a call makes four arrays, not fourteen."""
     a_lo = a & _LOW32
     a_hi = a >> 32
-    mid = a_hi * b_lo + ((a_lo * b_lo) >> 32)
-    low_mid = (mid & _LOW32) + a_lo * b_hi
-    return a_hi * b_hi + (mid >> 32) + (low_mid >> 32)
+    mid = a_hi * b_lo
+    carry = a_lo * b_lo
+    carry >>= 32
+    mid += carry
+    a_lo *= b_hi
+    np.bitwise_and(mid, _LOW32, out=carry)
+    carry += a_lo
+    carry >>= 32
+    mid >>= 32
+    a_hi *= b_hi
+    a_hi += mid
+    a_hi += carry
+    return a_hi
 
 
 def _philox_block(counters, seed: int, keys):
@@ -276,35 +309,32 @@ def _philox_block(counters, seed: int, keys):
     # Rows of p are words 0 and 2, which a round multiplies by M into
     # 128-bit products hi:lo.  Words 1 and 3 are the previous round's lo
     # in swapped rows, so a round sets p = hi[::-1] ^ lo_prev[::-1] ^ key,
-    # computed as (hi ^ lo_prev)[::-1] ^ key.  Constants are expanded to
-    # full rows because NumPy's contiguous loops run about twice as fast
-    # as broadcast ones.
+    # computed as (hi ^ lo_prev)[::-1] ^ key.
     n = keys.size
-    mul = np.repeat(np.array(_PHILOX_M, dtype=np.uint64), n, axis=1)
-    mul_lo = mul & _LOW32
-    mul_hi = mul >> 32
-    bump = np.repeat(np.array(_PHILOX_W, dtype=np.uint64), n, axis=1)
     key = np.empty((2, n), dtype=np.uint64)
     key[0] = seed
     key[1] = keys
     # Round 1: counter words 1..3 are 0, so only M0 * counter is nonzero.
     p = np.empty((2, n), dtype=np.uint64)
     p[0] = seed
-    p[1] = keys ^ _mulhi(counters, mul_lo[0], mul_hi[0])
+    p[1] = keys ^ _mulhi(counters, _PHILOX_M_LO[0], _PHILOX_M_HI[0])
     lo = np.zeros((2, n), dtype=np.uint64)
-    lo[0] = counters * mul[0]
+    lo[0] = counters * _PHILOX_M[0]
     for _ in range(9):
-        key += bump
-        hi = _mulhi(p, mul_lo, mul_hi)
-        next_lo = p * mul
-        p = (hi ^ lo)[::-1] ^ key
-        lo = next_lo
+        key += _PHILOX_W
+        hi = _mulhi(p, _PHILOX_M_LO, _PHILOX_M_HI)
+        hi ^= lo
+        # p becomes this round's lo, and lo's buffer the next p.
+        p *= _PHILOX_M
+        np.bitwise_xor(hi[::-1], key, out=lo)
+        p, lo = lo, p
     return p[0], lo[1], p[1], lo[0]
 
 
-def _shuffle_lanes(m: int, trials: int, seed: int, start, place) -> None:
+def _shuffle_lanes(m: int, trials: int, seed: int, width: int, start, place) -> None:
     """Run the Fisher-Yates shuffle of `trial_orders` for trials
-    0..trials-1 in a pool of TRIAL_LANES lanes, m >= 2.
+    0..trials-1 in a pool of `width` lanes, m >= 2, where width is 1 to
+    trials (0 when trials is 0).
 
     Each lane holds one trial and consumes one Philox block of that
     trial's stream per round, testing its eight words against its own i.
@@ -319,7 +349,6 @@ def _shuffle_lanes(m: int, trials: int, seed: int, start, place) -> None:
     mask of the lanes whose trial is now over, or None.
     """
     masks = np.array([(1 << i.bit_length()) - 1 for i in range(m)], dtype=np.int64)
-    width = min(trials, TRIAL_LANES)
     slot = np.arange(width)
     trial = np.arange(width, dtype=np.uint64)
     counter = np.zeros(width, dtype=np.uint64)
@@ -329,11 +358,12 @@ def _shuffle_lanes(m: int, trials: int, seed: int, start, place) -> None:
     while slot.size:
         counter += 1
         for x in _philox_block(counter, seed, trial):
-            for word in (x & _LOW32, x >> 32):
+            halves = x.view(np.uint32)
+            for half in _HALVES:
                 # A lane whose i reached 0 draws j = 0 (a no-op swap) and
                 # moves to i = -1; a lane at i < 0 accepts no later word:
                 # masks[i] is still a valid index and j >= 0.
-                j = word.view(np.int64) & masks[i]
+                j = halves[half::2] & masks[i]
                 accept = j <= i
                 hit = np.flatnonzero(accept)
                 at, step = row[hit], i[hit]
@@ -341,6 +371,8 @@ def _shuffle_lanes(m: int, trials: int, seed: int, start, place) -> None:
                 i -= accept
                 if over is not None:
                     i[hit[over]] = -1
+        # Free this round's arrays before the next block is made.
+        del x, halves, j, accept, hit, at, step
         ended = np.flatnonzero(i <= 0)
         if ended.size:
             fresh = ended[: trials - queued]
@@ -385,7 +417,7 @@ def trial_orders(m: int, trials: int, seed: int) -> np.ndarray:
         flat[pos_i] = flat[pos_j]
         flat[pos_j] = held
 
-    _shuffle_lanes(m, trials, seed, start, place)
+    _shuffle_lanes(m, trials, seed, _pool_width(trials, _LANE_BYTES), start, place)
     return orders
 
 
@@ -417,9 +449,10 @@ def backward_steps(covers: np.ndarray, threshold: int, trials: int, seed: int) -
     out = np.ones(trials, dtype=np.int64)
     if m < 2:
         return out
-    width = min(trials, TRIAL_LANES)
     count_type = np.min_scalar_type(-m)
     cover_rows = covers.astype(count_type)
+    # A lane adds its prefix row, its t counts and its trial's number.
+    width = _pool_width(trials, _LANE_BYTES + 8 * m + count_type.itemsize * t + 8)
     prefix = np.empty((width, m), dtype=np.int64)
     flat = prefix.reshape(-1)
     left = np.empty((width, t), dtype=count_type)
@@ -441,7 +474,7 @@ def backward_steps(covers: np.ndarray, threshold: int, trials: int, seed: int) -
         out[owner[slots[over]]] = i[over] + 1
         return over
 
-    _shuffle_lanes(m, trials, seed, start, place)
+    _shuffle_lanes(m, trials, seed, width, start, place)
     return out
 
 

@@ -589,6 +589,18 @@ class TestPersistence:
         with pytest.raises(SchemaVersionError):
             loads_catalog(json.dumps(doc))
 
+    @pytest.mark.parametrize("version", [True, 1.0, "1", None, 2])
+    def test_schema_version_must_be_the_integer(self, v13_catalog, version):
+        # true and 1.0 compare equal to 1 in Python but are not the version.
+        doc = json.loads(dumps_catalog(v13_catalog))
+        doc["schema_version"] = version
+        with pytest.raises(SchemaVersionError) as info:
+            loads_catalog(json.dumps(doc))
+        assert str(info.value) == (
+            f"unsupported catalog schema version {version!r} "
+            f"(expected {CATALOG_SCHEMA_VERSION})"
+        )
+
     def test_empty_catalog_document(self):
         empty = Catalog.from_parts([], [], [])
         doc = json.loads(dumps_catalog(empty))

@@ -497,6 +497,19 @@ class TestRank:
         err = capsys.readouterr().err
         assert err.startswith("error: weights CSV row 1: invalid technique ID")
 
+    @pytest.mark.parametrize("version, shown", [("true", "True"), ("1.0", "1.0"), ('"1"', "'1'")])
+    def test_schema_version_not_the_integer_exits_1(self, fixture_dir, capsys, version, shown):
+        path = fixture_dir / "paper_v13_catalog.json"
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text.replace('"schema_version": 1,', f'"schema_version": {version},'))
+        assert run(_rank_args(fixture_dir, "--out", "-")) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert captured.err == (
+            f"error: unsupported catalog schema version {shown} (expected 1)\n"
+        )
+
     def test_missing_catalog_file(self, fixture_dir, tmp_path, capsys):
         code = run(
             [
@@ -797,6 +810,11 @@ class TestProvenanceOnDemand:
     def test_rank_json_hashes_each_once(self, fixture_dir, hash_calls, capsys):
         assert run(_rank_args(fixture_dir, "--format", "json", "--out", "-")) == 0
         assert hash_calls == {"catalog": 1, "weights": 1}
+
+    @pytest.mark.parametrize("fmt", ["csv", "md"])
+    def test_rank_text_formats_hash_nothing(self, fixture_dir, hash_calls, capsys, fmt):
+        assert run(_rank_args(fixture_dir, "--format", fmt, "--out", "-")) == 0
+        assert hash_calls == {"catalog": 0, "weights": 0}
 
     def test_matrix_hashes_nothing(self, fixture_dir, hash_calls, capsys):
         assert run(["matrix", *self._inputs(fixture_dir), "--out", "-"]) == 0

@@ -1,11 +1,12 @@
-"""Structurally mutated inputs never escape ``mitiplan rank`` as a raw exception.
+"""Structurally mutated inputs never escape the CLI as a raw exception.
 
 Each example takes the bundled ``paper_v13`` weights CSV or its canonical
 catalog JSON, mutates it (cells and rows dropped, duplicated or swapped,
 JSON values deleted, duplicated or retyped, bytes truncated or inserted)
-and runs ``rank`` on it through :func:`mitiplan.cli.run`.  The command
-must succeed or report a data error: exit 0 or 1, never an exception,
-and no traceback on stderr.
+and runs ``rank`` on it through :func:`mitiplan.cli.run`; or mutates its
+techniques and mappings CSVs the same way and runs ``ingest csv`` on
+them.  The command must succeed or report a data error: exit 0 or 1,
+never an exception, and no traceback on stderr.
 """
 
 from __future__ import annotations
@@ -22,10 +23,17 @@ from hypothesis import strategies as st
 
 from mitiplan.catalog import dumps_catalog
 from mitiplan.cli import run
-from mitiplan.fixtures import PAPER_V13_WEIGHTS_CSV, paper_v13_catalog
+from mitiplan.fixtures import (
+    PAPER_V13_MAPPINGS_CSV,
+    PAPER_V13_TECHNIQUES_CSV,
+    PAPER_V13_WEIGHTS_CSV,
+    paper_v13_catalog,
+)
 
 WEIGHTS = PAPER_V13_WEIGHTS_CSV.encode("utf-8")
 CATALOG = dumps_catalog(paper_v13_catalog())
+TECHNIQUES = PAPER_V13_TECHNIQUES_CSV.encode("utf-8")
+MAPPINGS = PAPER_V13_MAPPINGS_CSV.encode("utf-8")
 
 # Bytes inserted at a random offset: quotes, separators, line breaks, NUL,
 # a BOM, bytes that are not UTF-8 and text that reads as a value.
@@ -116,9 +124,8 @@ def _mutate_json(draw, doc):
 
 
 @st.composite
-def weights_files(draw) -> bytes:
-    data = WEIGHTS
-    for _ in range(draw(st.integers(1, 3))):
+def csv_files(draw, data: bytes, min_mutations: int = 1) -> bytes:
+    for _ in range(draw(st.integers(min_mutations, 3))):
         data = _mutate_csv(draw, data)
     return data
 
@@ -140,23 +147,31 @@ def workdir():
         yield Path(name)
 
 
-def _rank(workdir: Path, catalog: bytes, weights: bytes) -> None:
-    (workdir / "catalog.json").write_bytes(catalog)
-    (workdir / "weights.csv").write_bytes(weights)
+def _run_on(workdir: Path, files: dict[str, bytes], argv: list[str]) -> None:
+    """Write `files` into `workdir`, then run the CLI on `argv`, in which
+    ``{name}`` stands for the path of file `name`."""
+    for name, data in files.items():
+        (workdir / name).write_bytes(data)
     stderr = io.StringIO()
     with contextlib.redirect_stderr(stderr):
-        code = run(
-            ["--timestamp", "0", "rank", "--catalog", str(workdir / "catalog.json"),
-             "--weights", str(workdir / "weights.csv"), "--out", str(workdir / "plan.json")]
-        )
+        code = run([arg.format_map({name: workdir / name for name in files}) for arg in argv])
     assert code in (0, 1)
     assert "Traceback" not in stderr.getvalue()
     if code == 1:
         assert stderr.getvalue().splitlines()[-1].startswith("error: ")
 
 
+def _rank(workdir: Path, catalog: bytes, weights: bytes) -> None:
+    _run_on(
+        workdir,
+        {"catalog": catalog, "weights": weights, "plan": b""},
+        ["--timestamp", "0", "rank", "--catalog", "{catalog}",
+         "--weights", "{weights}", "--out", "{plan}"],
+    )
+
+
 @settings(max_examples=150, deadline=None)
-@given(weights=weights_files())
+@given(weights=csv_files(WEIGHTS))
 def test_mutated_weights_exit_0_or_1(workdir, weights):
     _rank(workdir, CATALOG, weights)
 
@@ -165,3 +180,17 @@ def test_mutated_weights_exit_0_or_1(workdir, weights):
 @given(catalog=catalog_files())
 def test_mutated_catalog_exit_0_or_1(workdir, catalog):
     _rank(workdir, catalog, WEIGHTS)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    techniques=csv_files(TECHNIQUES, min_mutations=0),
+    mappings=csv_files(MAPPINGS, min_mutations=0),
+)
+def test_mutated_ingest_csv_exit_0_or_1(workdir, techniques, mappings):
+    _run_on(
+        workdir,
+        {"techniques": techniques, "mappings": mappings, "catalog": b""},
+        ["ingest", "csv", "--techniques", "{techniques}",
+         "--mappings", "{mappings}", "--out", "{catalog}"],
+    )

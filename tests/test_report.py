@@ -86,6 +86,26 @@ class TestJson:
             plan_document_from_json(json.dumps(doc).encode("utf-8"))
         assert str(info.value) == message
 
+    @pytest.mark.parametrize(
+        "covered, message",
+        [
+            ([1], "invalid technique ID: 1"),
+            ("T1053", "not a plan document: covered_techniques of M1026 must be a list"),
+            (["T1053", "M1026"], "invalid technique ID: 'M1026'"),
+            (None, "not a plan document: covered_techniques of M1026 must be a list"),
+        ],
+    )
+    def test_rejects_covered_techniques_no_format_can_render(self, v13_plan, covered, message):
+        doc = json.loads(render_plan(v13_plan, "json", timestamp=PINNED))
+        doc["entries"][0]["covered_techniques"] = covered
+        with pytest.raises(ValidationError) as info:
+            plan_document_from_json(json.dumps(doc).encode("utf-8"))
+        assert str(info.value) == message
+
+    def test_rejects_nesting_too_deep_to_decode(self):
+        with pytest.raises(ValidationError, match="not a plan document"):
+            plan_document_from_json(b"[" * 100000)
+
     def test_entries_carry_names(self, v13_plan):
         doc = build_plan_document(v13_plan, names={"M1026": "PAM"}, timestamp=PINNED)
         assert doc.entries[0].name == "PAM"
@@ -94,6 +114,23 @@ class TestJson:
     def test_default_timestamp_is_current(self, v13_plan):
         doc = build_plan_document(v13_plan)
         assert abs(doc.timestamp - time.time()) < 60
+
+
+class TestTextFormats:
+    @pytest.mark.parametrize("fmt", ["csv", "markdown"])
+    def test_plan_renders_as_its_document_does(self, v13_plan, fmt):
+        # render_plan skips the document, and so the hashes, for the text
+        # formats; the bytes are the document's.
+        names = {"M1026": "PAM", "M1038": 'a "quoted", name'}
+        doc = build_plan_document(v13_plan, names=names, timestamp=PINNED)
+        expected = render_plan_document(doc, fmt)
+        assert render_plan(v13_plan, fmt, names=names, timestamp=PINNED) == expected
+        assert render_plan(v13_plan, fmt, names=names) == expected
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "markdown"])
+    def test_negative_timestamp_rejected_in_every_format(self, v13_plan, fmt):
+        with pytest.raises(ValidationError, match="timestamp must be UTC seconds >= 0"):
+            render_plan(v13_plan, fmt, timestamp=-1)
 
 
 class TestCsv:

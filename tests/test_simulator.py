@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from mitiplan.matrix import build_decision_matrix
 from mitiplan.mcdm import rank, wsm_scores
 from mitiplan.simulator import (
     MAX_SEED,
-    TRIAL_LANES,
     Campaign,
     MonteCarloSummary,
     SimulationResult,
@@ -299,9 +299,10 @@ class TestTrialOrders:
     @pytest.mark.parametrize("seed", [0, MAX_SEED])
     @pytest.mark.parametrize("m", [0, 1, 2, 3, 4, 5, 8, 9, 17, 45, 200])
     def test_matches_per_trial_generator(self, m, seed):
-        # Trial counts straddle the lane chunk, where lanes restart.
-        expected = oracle_trial_orders(m, TRIAL_LANES + 1, seed)
-        for trials in (TRIAL_LANES - 1, TRIAL_LANES, TRIAL_LANES + 1):
+        # Trial counts straddle the forward pool's width, where lanes restart.
+        width = simulator._pool_width(10**9, simulator._LANE_BYTES)
+        expected = oracle_trial_orders(m, width + 1, seed)
+        for trials in (width - 1, width, width + 1):
             assert np.array_equal(trial_orders(m, trials, seed), expected[:trials])
 
     @settings(max_examples=60, deadline=None)
@@ -421,10 +422,59 @@ class TestWalks:
         orders = oracle_trial_orders(m, trials, seed)
         expected = _oracle_batch(orders, covers, threshold)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(simulator, "TRIAL_LANES", lanes)
+            _pin_width(patch, lanes)
             assert np.array_equal(trial_orders(m, trials, seed), orders)
             assert forward_steps(covers, threshold, trials, seed).tolist() == expected
             assert backward_steps(covers, threshold, trials, seed).tolist() == expected
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    @pytest.mark.parametrize("lanes", [1, 2, 3, 7])
+    def test_lane_refills_match_oracle(self, lanes, extra):
+        # Trial counts straddle the pool width, where the first lanes to
+        # finish take the last trials or leave the pool.
+        trials = lanes + extra
+        for m, t, threshold, seed in ((2, 1, 1, 0), (9, 3, 2, MAX_SEED), (17, 2, 1, 5)):
+            covers = _random_covers(m, t, seed=m, density=0.5)
+            covers[:threshold] = 1  # every technique can block
+            orders = oracle_trial_orders(m, trials, seed)
+            expected = _oracle_batch(orders, covers, threshold)
+            with pytest.MonkeyPatch.context() as patch:
+                asked = _pin_width(patch, lanes)
+                assert np.array_equal(trial_orders(m, trials, seed), orders)
+                assert forward_steps(covers, threshold, trials, seed).tolist() == expected
+                assert backward_steps(covers, threshold, trials, seed).tolist() == expected
+            forward_bytes, backward_bytes = asked[0], asked[-1]
+            assert forward_bytes == simulator._LANE_BYTES
+            assert backward_bytes == forward_bytes + 8 * m + t + 8
+
+    def test_each_walk_sizes_its_own_pool(self):
+        # The forward lane holds O(1) state; the backward lane adds its
+        # m-entry prefix row, t counts and trial number, so at Enterprise
+        # size (m = 45, t = 20) its pool is a third as wide.
+        budget = simulator.SCRATCH_BYTES
+        forward = simulator._pool_width(10**6, simulator._LANE_BYTES)
+        backward = simulator._pool_width(10**6, simulator._LANE_BYTES + 8 * 45 + 20 + 8)
+        assert forward == budget // simulator._LANE_BYTES == 6144
+        assert backward == 2033
+        assert simulator._pool_width(100, simulator._LANE_BYTES) == 100
+        assert simulator._pool_width(0, simulator._LANE_BYTES) == 0
+        assert simulator._pool_width(5, 2 * budget) == 1
+
+    def test_pools_hold_their_scratch_budget(self):
+        # Scratch memory at a full pool's peak, past the walk's own
+        # output, stays within SCRATCH_BYTES: the bytes per lane that set
+        # the widths are what the lanes really hold.  The backward walk's
+        # swaps also copy t counts per lane, uncounted, hence the 2%.
+        covers = _random_covers(45, 20, seed=2, density=0.08)
+        covers[:2] = 1
+        for walk, args in ((trial_orders, (45,)), (backward_steps, (covers, 2))):
+            tracemalloc.start()
+            try:
+                out = walk(*args, 12000, 11)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak - out.nbytes <= 1.02 * simulator.SCRATCH_BYTES
 
     @pytest.mark.parametrize("threshold", [1, 2, 3])
     def test_unblockable_technique_walks_nothing(self, threshold, monkeypatch):
@@ -477,6 +527,19 @@ class TestWalks:
             for k in (2, 3)
         ]
         assert taken == [["forward_steps"], ["backward_steps"]]
+
+
+def _pin_width(patch, lanes):
+    """Make every lane pool `lanes` wide (or as wide as its trials);
+    returns the bytes per lane each walk asks for, in call order."""
+    asked = []
+
+    def width(trials, lane_bytes):
+        asked.append(lane_bytes)
+        return min(trials, lanes)
+
+    patch.setattr(simulator, "_pool_width", width)
+    return asked
 
 
 def _oracle_batch(orders, covers, threshold):
