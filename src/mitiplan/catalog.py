@@ -150,33 +150,24 @@ class Catalog:
         )
 
     def __post_init__(self):
-        tids = [t.id for t in self.techniques]
-        mids = [m.id for m in self.mitigations]
-        if len(set(tids)) != len(tids):
+        # The technique index, built once here and kept out of the dataclass
+        # fields, so equality and hashing still see only the content.
+        by_technique: dict[str, list[str]] = {t.id: [] for t in self.techniques}
+        known_mids = {m.id for m in self.mitigations}
+        if len(by_technique) != len(self.techniques):
             raise CatalogError("duplicate technique IDs in catalog")
-        if len(set(mids)) != len(mids):
+        if len(known_mids) != len(self.mitigations):
             raise CatalogError("duplicate mitigation IDs in catalog")
         if any(a >= b for a, b in zip(self.mappings, self.mappings[1:])):
             raise CatalogError("mappings must be unique and sorted")
-        # Lookup indexes, built once here and kept out of the dataclass
-        # fields, so equality and hashing still see only the content.
-        by_technique: dict[str, list[str]] = {tid: [] for tid in tids}
-        by_mitigation: dict[str, list[str]] = {mid: [] for mid in mids}
-        try:
-            for mid, tid in self.mappings:
-                by_mitigation[mid].append(tid)
-                by_technique[tid].append(mid)
-        except KeyError:
-            if mid not in by_mitigation:
-                message = f"mapping references unknown mitigation {mid}"
-            else:
-                message = f"mapping references unknown technique {tid}"
-            raise CatalogError(message) from None
+        for mid, tid in self.mappings:
+            if mid not in known_mids:
+                raise CatalogError(f"mapping references unknown mitigation {mid}")
+            if tid not in by_technique:
+                raise CatalogError(f"mapping references unknown technique {tid}")
+            by_technique[tid].append(mid)
         object.__setattr__(
             self, "_by_technique", {k: tuple(v) for k, v in by_technique.items()}
-        )
-        object.__setattr__(
-            self, "_by_mitigation", {k: tuple(v) for k, v in by_mitigation.items()}
         )
 
     def technique_ids(self) -> tuple[str, ...]:
@@ -191,13 +182,6 @@ class Catalog:
     def mitigations_for(self, technique_id: str) -> tuple[str, ...]:
         """Mitigation IDs mapped to a technique, sorted."""
         return self._by_technique.get(technique_id, ())
-
-    def techniques_for(self, mitigation_id: str) -> tuple[str, ...]:
-        """Technique IDs covered by a mitigation, sorted."""
-        return self._by_mitigation.get(mitigation_id, ())
-
-    def mapping_count(self, technique_id: str) -> int:
-        return len(self.mitigations_for(technique_id))
 
     def mitigation_names(self) -> dict[str, str]:
         return {m.id: m.name for m in self.mitigations}
@@ -457,6 +441,27 @@ def _csv_field(cell: str) -> str:
     return cell
 
 
+def _read_entities(data: bytes | str, noun: str, kind: type) -> dict:
+    """Entities of ``kind`` by ID, from a CSV with header ``<noun>_id,name``.
+
+    A row with the wrong column count, a duplicate ID or a value the
+    constructor rejects raises :class:`ParseError` citing the row.
+    """
+    label = f"{noun}s CSV"
+    entities = {}
+    for rownum, row in _read_rows(data, label, f"{noun}_id,name"):
+        if len(row) != 2:
+            raise ParseError(f"{label} row {rownum}: expected 2 columns")
+        entity_id = row[0].strip()
+        if entity_id in entities:
+            raise ParseError(f"{label} row {rownum}: duplicate {noun} {entity_id}")
+        try:
+            entities[entity_id] = kind(id=entity_id, name=row[1])
+        except ValidationError as exc:
+            raise ParseError(f"{label} row {rownum}: {exc}") from exc
+    return entities
+
+
 def parse_mapping_csv(
     techniques_csv: bytes | str,
     mapping_csv: bytes | str,
@@ -472,34 +477,10 @@ def parse_mapping_csv(
     :class:`ParseError` citing the data row number; a mapping row naming
     a technique absent from ``techniques_csv`` is an error as well.
     """
-    techniques: dict[str, Technique] = {}
-    for rownum, row in _read_rows(techniques_csv, "techniques CSV", "technique_id,name"):
-        if len(row) != 2:
-            raise ParseError(f"techniques CSV row {rownum}: expected 2 columns")
-        tid = row[0].strip()
-        if tid in techniques:
-            raise ParseError(f"techniques CSV row {rownum}: duplicate technique {tid}")
-        try:
-            techniques[tid] = Technique(id=tid, name=row[1])
-        except ValidationError as exc:
-            raise ParseError(f"techniques CSV row {rownum}: {exc}") from exc
-
-    mitigations: dict[str, Mitigation] = {}
+    techniques = _read_entities(techniques_csv, "technique", Technique)
+    mitigations = {}
     if mitigations_csv is not None:
-        for rownum, row in _read_rows(
-            mitigations_csv, "mitigations CSV", "mitigation_id,name"
-        ):
-            if len(row) != 2:
-                raise ParseError(f"mitigations CSV row {rownum}: expected 2 columns")
-            mid = row[0].strip()
-            if mid in mitigations:
-                raise ParseError(
-                    f"mitigations CSV row {rownum}: duplicate mitigation {mid}"
-                )
-            try:
-                mitigations[mid] = Mitigation(id=mid, name=row[1])
-            except ValidationError as exc:
-                raise ParseError(f"mitigations CSV row {rownum}: {exc}") from exc
+        mitigations = _read_entities(mitigations_csv, "mitigation", Mitigation)
 
     # Named mitigations that never appear in the mapping are still listed;
     # the rest are registered, unnamed, from the mapping rows.

@@ -9,7 +9,6 @@ and each column of weighted cells sums back to the technique's weight.
 
 from __future__ import annotations
 
-import io
 import logging
 from dataclasses import dataclass
 from functools import cached_property
@@ -142,91 +141,47 @@ class DecisionMatrix:
         return float(self.coverage[i, j] * self.weights[j])
 
 
-def mapping_counts(catalog: Catalog, weights: WeightVector) -> np.ndarray:
-    """Mitigations mapped to each weighted technique, in weight order.
-
-    Every weighted technique must exist in the catalog; a missing one
-    raises :class:`CatalogError` naming the technique.
-    """
-    counts = []
-    for tid in weights.technique_ids():
-        if not catalog.has_technique(tid):
-            raise CatalogError(f"weighted technique {tid} not present in catalog")
-        counts.append(catalog.mapping_count(tid))
-    return np.asarray(counts, dtype=int)
-
-
-def build_decision_matrix(
-    catalog: Catalog,
-    weights: WeightVector,
-    on_empty: str = "drop",
-    effectiveness: dict[tuple[str, str], float] | None = None,
-) -> DecisionMatrix:
+def build_decision_matrix(catalog: Catalog, weights: WeightVector) -> DecisionMatrix:
     """Construct the decision matrix for a catalog and weight vector.
 
-    Techniques with no mapped mitigation carry no ranking signal:
-    ``on_empty="drop"`` (default) removes them with a warning and records
-    them in ``dropped_techniques``; ``on_empty="error"`` aborts listing
-    them.  ``effectiveness`` optionally overrides the uniform per-cell
-    share with per-pair values in (0, 1], renormalized within each column
-    so column sums are preserved.
+    Every weighted technique must exist in the catalog; a missing one
+    raises :class:`CatalogError` naming the technique.  Techniques with
+    no mapped mitigation carry no ranking signal: they are dropped with
+    a warning and recorded in ``dropped_techniques``.
     """
-    if on_empty not in ("drop", "error"):
-        raise ValidationError(f"on_empty must be 'drop' or 'error', got {on_empty!r}")
-    counts_all = mapping_counts(catalog, weights)
-    weighted_ids = weights.technique_ids()
-
-    empty = [tid for tid, count in zip(weighted_ids, counts_all) if count == 0]
-    if empty:
-        if on_empty == "error":
-            raise CatalogError(
-                "techniques with no mapped mitigation: " + ", ".join(empty)
-            )
+    technique_ids, weight_values, columns, dropped = [], [], [], []
+    for entry in weights.entries:
+        tid = entry.technique_id
+        if not catalog.has_technique(tid):
+            raise CatalogError(f"weighted technique {tid} not present in catalog")
+        column = catalog.mitigations_for(tid)
+        if column:
+            technique_ids.append(tid)
+            weight_values.append(entry.weight)
+            columns.append(column)
+        else:
+            dropped.append(tid)
+    if dropped:
         logger.warning(
             "dropping %d technique(s) with no mapped mitigation: %s",
-            len(empty),
-            ", ".join(empty),
+            len(dropped),
+            ", ".join(dropped),
         )
 
-    kept = [
-        (tid, weight)
-        for tid, weight, count in zip(weighted_ids, weights.weights(), counts_all)
-        if count > 0
-    ]
-    technique_ids = tuple(tid for tid, _ in kept)
-    weight_values = np.asarray([w for _, w in kept], dtype=float)
-
-    if effectiveness:
-        for (mid, tid), value in effectiveness.items():
-            if mid not in catalog.mitigations_for(tid):
-                raise ValidationError(
-                    f"effectiveness override for unmapped pair ({mid}, {tid})"
-                )
-            if not 0.0 < value <= 1.0:
-                raise ValidationError(
-                    f"effectiveness for ({mid}, {tid}) must be in (0, 1], got {value}"
-                )
-
-    columns = [catalog.mitigations_for(tid) for tid in technique_ids]
     mitigation_ids = tuple(sorted({mid for column in columns for mid in column}))
     row_of = {mid: i for i, mid in enumerate(mitigation_ids)}
-
-    shares = np.zeros((len(mitigation_ids), len(technique_ids)))
-    for j, (tid, column) in enumerate(zip(technique_ids, columns)):
+    coverage = np.zeros((len(mitigation_ids), len(technique_ids)))
+    for j, column in enumerate(columns):
         for mid in column:
-            value = 1.0
-            if effectiveness:
-                value = effectiveness.get((mid, tid), 1.0)
-            shares[row_of[mid], j] = value
-    column_totals = shares.sum(axis=0)
-    coverage = shares / column_totals
+            coverage[row_of[mid], j] = 1.0
+    coverage /= coverage.sum(axis=0)
 
     return DecisionMatrix(
         mitigation_ids=mitigation_ids,
-        technique_ids=technique_ids,
+        technique_ids=tuple(technique_ids),
         coverage=coverage,
-        weights=weight_values,
-        dropped_techniques=tuple(empty),
+        weights=np.asarray(weight_values, dtype=float),
+        dropped_techniques=tuple(dropped),
         provenance=Provenance(catalog, weights),
     )
 
@@ -236,17 +191,16 @@ def export_matrix_csv(matrix: DecisionMatrix) -> bytes:
 
     Layout: a header row of weights, a header row of technique IDs with a
     trailing ``total`` column, then one row per mitigation with weighted
-    cells at 6 decimal places and the row's weighted sum.
+    cells at 6 decimal places and the row's weighted sum.  Every cell is
+    a checked ID, a fixed word or a formatted number, so none is quoted.
     """
-    import csv
-
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["weight"] + [f"{w:.6f}" for w in matrix.weights] + [""])
-    writer.writerow(["mitigation_id"] + list(matrix.technique_ids) + ["total"])
+    lines = [
+        ",".join(["weight", *(f"{w:.6f}" for w in matrix.weights), ""]),
+        ",".join(["mitigation_id", *matrix.technique_ids, "total"]),
+    ]
     weighted = matrix.weighted()
     totals = weighted.sum(axis=1)
-    for i, mid in enumerate(matrix.mitigation_ids):
-        cells = [f"{value:.6f}" for value in weighted[i]]
-        writer.writerow([mid] + cells + [f"{totals[i]:.6f}"])
-    return buffer.getvalue().encode("utf-8")
+    for mid, row, total in zip(matrix.mitigation_ids, weighted, totals):
+        cells = [f"{value:.6f}" for value in row]
+        lines.append(",".join([mid, *cells, f"{total:.6f}"]))
+    return ("\n".join(lines) + "\n").encode("utf-8")

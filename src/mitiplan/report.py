@@ -173,9 +173,18 @@ def render_plan(
     return _render_entries(_named_entries(plan, names), fmt)
 
 
+def _typed(value, kinds: tuple[type, ...], what: str):
+    """A document value, if it is one of ``kinds``; JSON's true and false
+    are never numbers here."""
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        kind = "an integer" if kinds == (int,) else "a number"
+        raise ValidationError(f"not a plan document: {what} must be {kind}, got {value!r}")
+    return value
+
+
 def _plan_entry(entry: dict) -> PlanEntry:
     """A plan document entry; its name is checked as a catalog name is,
-    so every format can render it."""
+    and its rank and score by type, so every format can render it."""
     mid = parse_mitigation_id(entry["mitigation_id"])
     _check_name(mid, entry["name"])
     covered = entry["covered_techniques"]
@@ -184,9 +193,9 @@ def _plan_entry(entry: dict) -> PlanEntry:
             f"not a plan document: covered_techniques of {mid} must be a list"
         )
     return PlanEntry(
-        rank=entry["rank"],
+        rank=_typed(entry["rank"], (int,), f"rank of {mid}"),
         mitigation_id=mid,
-        score=entry["score"],
+        score=_typed(entry["score"], (int, float), f"score of {mid}"),
         covered_techniques=tuple(map(parse_technique_id, covered)),
         name=entry["name"],
     )
@@ -205,8 +214,10 @@ def plan_document_from_json(data: bytes) -> PlanDocument:
             method=doc["method"],
             catalog_hash=doc["catalog_hash"],
             weights_hash=doc["weights_hash"],
-            timestamp=doc["timestamp"],
+            timestamp=_typed(doc["timestamp"], (int,), "timestamp"),
             entries=entries,
         )
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise ValidationError(f"not a plan document: missing field {exc}") from exc
+    except TypeError as exc:
+        raise ValidationError(f"not a plan document: {exc}") from exc

@@ -150,7 +150,7 @@ class RiskInputs:
     """Inputs of the multiplicative risk factor.
 
     ``threat`` and ``vulnerability`` are probabilities in [0, 1];
-    ``impact`` is a nonnegative magnitude in organization-defined units.
+    ``impact`` is a finite nonnegative magnitude in organization-defined units.
     """
 
     threat: float
@@ -164,8 +164,10 @@ class RiskInputs:
                 raise ValidationError(
                     f"{label} probability must be in [0, 1], got {value}"
                 )
-        if self.impact < 0:
-            raise ValidationError(f"impact must be nonnegative, got {self.impact}")
+        if not 0 <= self.impact < math.inf:
+            raise ValidationError(
+                f"impact must be finite and nonnegative, got {self.impact}"
+            )
 
 
 def risk_factor(inputs: RiskInputs) -> float:

@@ -124,14 +124,29 @@ class TestCatalogType:
             )
 
     def test_mapping_referential_integrity(self):
-        with pytest.raises(CatalogError):
+        with pytest.raises(CatalogError, match="^mapping references unknown mitigation M1026$"):
             Catalog.from_parts(
                 [Technique("T1053", "")], [], [("M1026", "T1053")]
             )
-        with pytest.raises(CatalogError):
+        with pytest.raises(CatalogError, match="^mapping references unknown technique T1053$"):
             Catalog.from_parts(
                 [], [Mitigation("M1026", "")], [("M1026", "T1053")]
             )
+
+    @pytest.mark.parametrize(
+        "mappings, message",
+        [
+            # Both endpoints unknown: the mitigation is named.
+            ([("M9999", "T9999")], "unknown mitigation M9999"),
+            # The first mapping that fails is named.
+            ([("M1026", "T9999"), ("M9999", "T1053")], "unknown technique T9999"),
+            ([("M1026", "T1053"), ("M9999", "T1053")], "unknown mitigation M9999"),
+        ],
+    )
+    def test_first_unknown_endpoint_named(self, mappings, message):
+        with pytest.raises(CatalogError) as info:
+            Catalog.from_parts([Technique("T1053")], [Mitigation("M1026")], mappings)
+        assert str(info.value) == f"mapping references {message}"
 
     @pytest.mark.parametrize("name", [7, ["x"], None, b"x"])
     def test_non_string_name_rejected(self, name):
@@ -201,8 +216,9 @@ class TestCatalogType:
     def test_lookups(self, v13_catalog):
         assert v13_catalog.has_technique("T1112")
         assert v13_catalog.mitigations_for("T1112") == ("M1024",)
-        assert "T1112" in v13_catalog.techniques_for("M1024")
-        assert v13_catalog.mapping_count("T1574") == 10
+        assert len(v13_catalog.mitigations_for("T1574")) == 10
+        assert not v13_catalog.has_technique("T9999")
+        assert v13_catalog.mitigations_for("T9999") == ()
 
 
 class TestStixIngest:
@@ -444,7 +460,8 @@ class TestCollapse:
 class TestCsvIngest:
     def test_v13_fixture_counts(self, v13_catalog):
         counts = {
-            tid: v13_catalog.mapping_count(tid) for tid in v13_catalog.technique_ids()
+            tid: len(v13_catalog.mitigations_for(tid))
+            for tid in v13_catalog.technique_ids()
         }
         assert counts == {
             "T1036": 3,
@@ -559,6 +576,26 @@ class TestCsvIngest:
                 "technique_id,mitigation_id\n",
             )
         assert str(info.value) == "techniques CSV row 3: invalid technique ID: 'T999'"
+
+    @pytest.mark.parametrize(
+        "techniques, mitigations, message",
+        [
+            ("T1053,x,y\n", "", "techniques CSV row 1: expected 2 columns"),
+            ("T1053,x\n\n T1053 ,y\n", "", "techniques CSV row 3: duplicate technique T1053"),
+            ("T105,x\n", "", "techniques CSV row 1: invalid technique ID: 'T105'"),
+            ("", "M1026\n", "mitigations CSV row 1: expected 2 columns"),
+            ("", "M1026,x\nM1026,y\n", "mitigations CSV row 2: duplicate mitigation M1026"),
+            ("", "M10,x\n", "mitigations CSV row 1: invalid mitigation ID: 'M10'"),
+        ],
+    )
+    def test_entity_row_errors_cite_row(self, techniques, mitigations, message):
+        with pytest.raises(ParseError) as info:
+            parse_mapping_csv(
+                "technique_id,name\n" + techniques,
+                "technique_id,mitigation_id\n",
+                "mitigation_id,name\n" + mitigations,
+            )
+        assert str(info.value) == message
 
     def test_mitigation_names_file(self):
         catalog = parse_mapping_csv(

@@ -665,6 +665,16 @@ class TestScore:
         assert run(["score", "risk", "--threat", "1.5", "--vuln", "0.5", "--impact", "1"]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("threat, impact", [("0.5", "nan"), ("0", "inf")])
+    def test_risk_rejects_impact_that_is_not_finite(self, capsys, threat, impact):
+        argv = ["score", "risk", "--threat", threat, "--vuln", "0.5", "--impact", impact]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: impact must be finite and nonnegative, got {float(impact)}\n"
+        )
+
     def test_cvss_reference_vector(self, capsys):
         assert run(["score", "cvss", "--av", "N", "--ac", "L", "--pr", "N", "--ui", "N"]) == 0
         assert capsys.readouterr().out.strip() == "3.887043"

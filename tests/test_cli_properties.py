@@ -5,13 +5,15 @@ catalog JSON, mutates it (cells and rows dropped, duplicated or swapped,
 JSON values deleted, duplicated or retyped, bytes truncated or inserted)
 and runs ``rank`` on it through :func:`mitiplan.cli.run`; or mutates its
 techniques and mappings CSVs the same way and runs ``ingest csv`` on
-them.  The command must succeed or report a data error: exit 0 or 1,
-never an exception, and no traceback on stderr.
+them; or mutates a small slice of a synthetic STIX bundle and runs
+``ingest stix`` on it.  The command must succeed or report a data error:
+exit 0 or 1, never an exception, and no traceback on stderr.
 """
 
 from __future__ import annotations
 
 import contextlib
+import copy
 import io
 import json
 import tempfile
@@ -30,10 +32,47 @@ from mitiplan.fixtures import (
     paper_v13_catalog,
 )
 
+from helpers import enterprise_stix_bundle
+
 WEIGHTS = PAPER_V13_WEIGHTS_CSV.encode("utf-8")
 CATALOG = dumps_catalog(paper_v13_catalog())
 TECHNIQUES = PAPER_V13_TECHNIQUES_CSV.encode("utf-8")
 MAPPINGS = PAPER_V13_MAPPINGS_CSV.encode("utf-8")
+
+
+def _stix_sample(size: int = 12) -> bytes:
+    """A connected slice of the synthetic Enterprise-size bundle.
+
+    It starts at the first revoked or deprecated sub-technique, then
+    takes each relationship touching an object already taken, and the
+    relationship's other end, breadth first, up to `size` objects.  So
+    ``--no-collapse`` and ``--include-deprecated`` both change what the
+    slice ingests to.
+    """
+    objects = json.loads(enterprise_stix_bundle())["objects"]
+    by_id = {obj["id"]: obj for obj in objects}
+    relationships = [obj for obj in objects if obj["type"] == "relationship"]
+    seed = next(
+        obj for obj in objects
+        if obj["type"] == "attack-pattern"
+        and "." in obj["external_references"][0]["external_id"]
+        and (obj.get("revoked") or obj.get("x_mitre_deprecated"))
+    )
+    taken = {seed["id"]: seed}
+    queue = [seed["id"]]
+    while queue:
+        current = queue.pop(0)
+        for rel in relationships:
+            if current not in (rel["source_ref"], rel["target_ref"]):
+                continue
+            for obj in (rel, by_id.get(rel["source_ref"]), by_id.get(rel["target_ref"])):
+                if obj is not None and obj["id"] not in taken and len(taken) < size:
+                    taken[obj["id"]] = obj
+                    queue.append(obj["id"])
+    return json.dumps({"type": "bundle", "objects": list(taken.values())}).encode("ascii")
+
+
+STIX = _stix_sample()
 
 # Bytes inserted at a random offset: quotes, separators, line breaks, NUL,
 # a BOM, bytes that are not UTF-8 and text that reads as a value.
@@ -104,6 +143,8 @@ def _paths(node, path=()):
 
 def _mutate_json(draw, doc):
     paths = [path for path in _paths(doc) if path]
+    if not paths:  # every node is gone already
+        return doc
     path = draw(st.sampled_from(paths))
     parent = doc
     for key in path[:-1]:
@@ -111,7 +152,8 @@ def _mutate_json(draw, doc):
     key = path[-1]
     op = draw(st.sampled_from(["retype", "drop", "duplicate", "swap"]))
     if op == "retype":
-        parent[key] = draw(st.sampled_from(VALUES))
+        # A copy: a later mutation must not change the shared value.
+        parent[key] = copy.deepcopy(draw(st.sampled_from(VALUES)))
     elif op == "drop":
         del parent[key]
     elif isinstance(parent, list):
@@ -131,8 +173,8 @@ def csv_files(draw, data: bytes, min_mutations: int = 1) -> bytes:
 
 
 @st.composite
-def catalog_files(draw) -> bytes:
-    doc = json.loads(CATALOG)
+def json_files(draw, data: bytes) -> bytes:
+    doc = json.loads(data)
     for _ in range(draw(st.integers(0, 3))):
         doc = _mutate_json(draw, doc)
     data = json.dumps(doc, indent=draw(st.sampled_from([None, 2]))).encode("ascii")
@@ -177,7 +219,7 @@ def test_mutated_weights_exit_0_or_1(workdir, weights):
 
 
 @settings(max_examples=150, deadline=None)
-@given(catalog=catalog_files())
+@given(catalog=json_files(CATALOG))
 def test_mutated_catalog_exit_0_or_1(workdir, catalog):
     _rank(workdir, catalog, WEIGHTS)
 
@@ -193,4 +235,26 @@ def test_mutated_ingest_csv_exit_0_or_1(workdir, techniques, mappings):
         {"techniques": techniques, "mappings": mappings, "catalog": b""},
         ["ingest", "csv", "--techniques", "{techniques}",
          "--mappings", "{mappings}", "--out", "{catalog}"],
+    )
+
+
+def test_stix_sample_flags_change_the_catalog(workdir):
+    outputs = set()
+    for flags in ([], ["--no-collapse"], ["--include-deprecated"],
+                  ["--no-collapse", "--include-deprecated"]):
+        (workdir / "bundle").write_bytes(STIX)
+        assert run(["ingest", "stix", "--bundle", str(workdir / "bundle"),
+                    "--out", str(workdir / "catalog"), *flags]) == 0
+        outputs.add((workdir / "catalog").read_bytes())
+    assert len(outputs) == 4
+
+
+@settings(max_examples=150, deadline=None)
+@given(bundle=json_files(STIX), no_collapse=st.booleans(), include_deprecated=st.booleans())
+def test_mutated_stix_bundle_exit_0_or_1(workdir, bundle, no_collapse, include_deprecated):
+    flags = ["--no-collapse"] * no_collapse + ["--include-deprecated"] * include_deprecated
+    _run_on(
+        workdir,
+        {"bundle": bundle, "catalog": b""},
+        ["ingest", "stix", "--bundle", "{bundle}", "--out", "{catalog}", *flags],
     )

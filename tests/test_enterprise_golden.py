@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,7 +29,7 @@ from mitiplan.catalog import (
     save_catalog,
 )
 from mitiplan.cli import run
-from mitiplan.matrix import build_decision_matrix, export_matrix_csv, mapping_counts
+from mitiplan.matrix import build_decision_matrix, export_matrix_csv
 from mitiplan.scoring import render_weights_csv
 from mitiplan.simulator import Campaign, random_baseline
 
@@ -178,10 +179,6 @@ def _check_lookups_against_scan(catalog):
         present = any(t.id == tid for t in catalog.techniques)
         assert catalog.has_technique(tid) == present
         assert catalog.mitigations_for(tid) == scanned
-        assert catalog.mapping_count(tid) == len(scanned)
-    for mid in catalog.mitigation_ids() + ("M9999",):
-        scanned = tuple(sorted(t for m, t in catalog.mappings if m == mid))
-        assert catalog.techniques_for(mid) == scanned
 
 
 def test_index_lookups_equal_scan(enterprise, v13_catalog):
@@ -210,9 +207,16 @@ def test_index_lookups_equal_scan_on_random_catalogs(catalog):
 
 def test_mapping_counts_equal_scan(enterprise):
     catalog, weights = enterprise
-    counts = mapping_counts(catalog, weights)
-    expected = [
-        sum(1 for _, t in catalog.mappings if t == tid)
+    matrix = build_decision_matrix(catalog, weights)
+    scanned = {
+        tid: sum(1 for _, t in catalog.mappings if t == tid)
         for tid in weights.technique_ids()
-    ]
-    assert counts.tolist() == expected
+    }
+    assert dict(zip(matrix.technique_ids, matrix.counts.tolist())) == {
+        tid: count for tid, count in scanned.items() if count
+    }
+    assert matrix.dropped_techniques == tuple(
+        tid for tid, count in scanned.items() if not count
+    )
+    # Each mapped cell is exactly 1.0 / count, each unmapped one 0.
+    assert np.array_equal(matrix.coverage, (matrix.coverage > 0) / matrix.counts)

@@ -8,13 +8,12 @@ import numpy as np
 import pytest
 
 from mitiplan.catalog import Catalog, Mitigation, Technique, catalog_sha256
-from mitiplan.errors import CatalogError, ValidationError
+from mitiplan.errors import CatalogError
 from mitiplan.matrix import (
     DecisionMatrix,
     Provenance,
     build_decision_matrix,
     export_matrix_csv,
-    mapping_counts,
 )
 from mitiplan.mcdm import RankedPlan, rank, wsm_scores
 from mitiplan.scoring import WeightEntry, WeightVector, weights_sha256
@@ -38,19 +37,23 @@ def _weights(pairs):
 
 class TestMappingCounts:
     def test_v13_counts(self, v13_catalog, v13_weights):
-        counts = mapping_counts(v13_catalog, v13_weights)
+        counts = build_decision_matrix(v13_catalog, v13_weights).counts
         assert counts.tolist() == [4, 7, 4, 2, 3, 4, 10, 4, 7, 1]
 
     def test_missing_technique_named(self, v13_catalog):
-        weights = _weights([("T9999", 1.0)])
-        with pytest.raises(CatalogError, match="T9999"):
-            mapping_counts(v13_catalog, weights)
+        weights = _weights([("T1053", 3.0), ("T9999", 1.0), ("T9998", 0.5)])
+        with pytest.raises(
+            CatalogError, match="^weighted technique T9999 not present in catalog$"
+        ):
+            build_decision_matrix(v13_catalog, weights)
 
     def test_single_pair(self):
         catalog = Catalog.from_parts(
             [Technique("T1053", "")], [Mitigation("M1026", "")], [("M1026", "T1053")]
         )
-        assert mapping_counts(catalog, _weights([("T1053", 2.0)])).tolist() == [1]
+        matrix = build_decision_matrix(catalog, _weights([("T1053", 2.0)]))
+        assert matrix.counts.tolist() == [1]
+        assert matrix.coverage.tolist() == [[1.0]]
 
 
 class TestBuild:
@@ -101,7 +104,7 @@ class TestBuild:
             v13_matrix.weights.sum(), abs=1e-9
         )
 
-    def test_unmapped_technique_dropped_with_record(self, v13_catalog):
+    def test_unmapped_technique_dropped_with_record(self, v13_catalog, caplog):
         weights = _weights([("T1053", 3.0), ("T9998", 2.0)])
         catalog = Catalog.from_parts(
             list(v13_catalog.techniques) + [Technique("T9998", "unmapped")],
@@ -111,16 +114,9 @@ class TestBuild:
         matrix = build_decision_matrix(catalog, weights)
         assert matrix.dropped_techniques == ("T9998",)
         assert matrix.technique_ids == ("T1053",)
-
-    def test_unmapped_technique_error_mode(self, v13_catalog):
-        weights = _weights([("T1053", 3.0), ("T9998", 2.0)])
-        catalog = Catalog.from_parts(
-            list(v13_catalog.techniques) + [Technique("T9998", "unmapped")],
-            v13_catalog.mitigations,
-            v13_catalog.mappings,
-        )
-        with pytest.raises(CatalogError, match="T9998"):
-            build_decision_matrix(catalog, weights, on_empty="error")
+        assert caplog.messages == [
+            "dropping 1 technique(s) with no mapped mitigation: T9998"
+        ]
 
     def test_rows_limited_to_mapped_mitigations(self, v13_catalog):
         weights = _weights([("T1112", 1.9)])
@@ -140,33 +136,6 @@ class TestBuild:
         assert rebuilt.mitigation_ids == v13_matrix.mitigation_ids
         assert rebuilt.technique_ids == v13_matrix.technique_ids
         assert np.array_equal(rebuilt.coverage, v13_matrix.coverage)
-
-    def test_effectiveness_override(self):
-        catalog = Catalog.from_parts(
-            [Technique("T1053", "")],
-            [Mitigation("M1026", ""), Mitigation("M1047", "")],
-            [("M1026", "T1053"), ("M1047", "T1053")],
-        )
-        weights = _weights([("T1053", 2.0)])
-        matrix = build_decision_matrix(
-            catalog,
-            weights,
-            effectiveness={("M1026", "T1053"): 0.9, ("M1047", "T1053"): 0.3},
-        )
-        assert matrix.cell("M1026", "T1053") == pytest.approx(2.0 * 0.75)
-        assert matrix.cell("M1047", "T1053") == pytest.approx(2.0 * 0.25)
-
-    def test_effectiveness_rejects_unmapped_pair(self, v13_catalog, v13_weights):
-        with pytest.raises(ValidationError, match="M1024"):
-            build_decision_matrix(
-                v13_catalog, v13_weights, effectiveness={("M1024", "T1053"): 0.5}
-            )
-
-    def test_effectiveness_rejects_out_of_range(self, v13_catalog, v13_weights):
-        with pytest.raises(ValidationError):
-            build_decision_matrix(
-                v13_catalog, v13_weights, effectiveness={("M1026", "T1053"): 0.0}
-            )
 
     def test_provenance_hashes_set(self, v13_matrix):
         assert len(v13_matrix.catalog_hash) == 64

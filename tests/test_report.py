@@ -63,8 +63,11 @@ class TestJson:
     def test_rejects_garbage(self):
         with pytest.raises(ValidationError):
             plan_document_from_json(b"not json at all")
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="^not a plan document: missing field 'entries'$"):
             plan_document_from_json(b'{"method": "wsm"}')
+        with pytest.raises(ValidationError) as info:
+            plan_document_from_json(b"[]")
+        assert "missing field" not in str(info.value)
 
     def test_rejects_invalid_mitigation_id(self, v13_plan):
         doc = json.loads(render_plan(v13_plan, "json", timestamp=PINNED))
@@ -101,6 +104,39 @@ class TestJson:
         with pytest.raises(ValidationError) as info:
             plan_document_from_json(json.dumps(doc).encode("utf-8"))
         assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("entries", 0, "score"), "x", "score of M1026 must be a number, got 'x'"),
+            (("entries", 0, "score"), True, "score of M1026 must be a number, got True"),
+            (("entries", 0, "score"), None, "score of M1026 must be a number, got None"),
+            (("entries", 0, "rank"), True, "rank of M1026 must be an integer, got True"),
+            (("entries", 0, "rank"), 1.0, "rank of M1026 must be an integer, got 1.0"),
+            (("entries", 0, "rank"), "1", "rank of M1026 must be an integer, got '1'"),
+            (("timestamp",), "5", "timestamp must be an integer, got '5'"),
+            (("timestamp",), False, "timestamp must be an integer, got False"),
+            (("timestamp",), 5.0, "timestamp must be an integer, got 5.0"),
+        ],
+    )
+    def test_rejects_numbers_no_format_can_render(self, v13_plan, path, value, message):
+        doc = json.loads(render_plan(v13_plan, "json", timestamp=PINNED))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        with pytest.raises(ValidationError) as info:
+            plan_document_from_json(json.dumps(doc).encode("utf-8"))
+        assert str(info.value) == "not a plan document: " + message
+
+    @pytest.mark.parametrize(
+        "fmt, row", [("csv", b"\n1,M1026,,3.000000,"), ("markdown", b"\n| 1 | M1026 |  | 3.000000 |")]
+    )
+    def test_integer_score_renders(self, v13_plan, fmt, row):
+        doc = json.loads(render_plan(v13_plan, "json", timestamp=PINNED))
+        doc["entries"][0]["score"] = 3
+        loaded = plan_document_from_json(json.dumps(doc).encode("utf-8"))
+        assert row in render_plan_document(loaded, fmt)
 
     def test_rejects_nesting_too_deep_to_decode(self):
         with pytest.raises(ValidationError, match="not a plan document"):

@@ -173,7 +173,8 @@ class TestRiskFactor:
     @pytest.mark.parametrize(
         "threat,vuln,impact",
         [(-0.1, 0.5, 1.0), (1.1, 0.5, 1.0), (0.5, -0.1, 1.0), (0.5, 2.0, 1.0),
-         (0.5, 0.5, -1.0)],
+         (0.5, 0.5, -1.0), (0.5, 0.5, float("nan")), (0.0, 0.5, float("inf")),
+         (float("nan"), 0.5, 1.0), (0.5, float("nan"), 1.0)],
     )
     def test_range_validation(self, threat, vuln, impact):
         with pytest.raises(ValidationError):
