@@ -9,6 +9,8 @@ fixtures, or loaded from the canonical JSON form written by
 
 from __future__ import annotations
 
+import functools
+import gc
 import json
 import re
 from dataclasses import dataclass, field
@@ -216,10 +218,37 @@ def collapse_subtechniques(catalog: Catalog) -> Catalog:
     )
 
 
-# What json.loads raises on a malformed document: bytes that its detected
-# encoding cannot decode are a UnicodeDecodeError rather than a
-# JSONDecodeError, and nesting too deep for the decoder a RecursionError.
-_JSON_ERRORS = (json.JSONDecodeError, UnicodeDecodeError, RecursionError)
+def _collector_paused(func):
+    """Run ``func`` with the cyclic garbage collector's automatic passes off.
+
+    A loader allocates thousands of containers (decoded JSON, entities,
+    pairs), enough to set off several collections per call, each of which
+    scans the young objects and now and then every live object.  The
+    loaders build no reference cycles, so pausing loses nothing: the
+    objects they free are freed by reference counting, and the collector
+    resumes when the loader returns or raises.  A collector that is
+    already off, as in a nested call, is left off.
+    """
+
+    @functools.wraps(func)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return func(*args, **kwargs)
+        gc.disable()
+        try:
+            return func(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused
+
+
+# What json.loads raises on a malformed document: a ValueError, which is
+# a JSONDecodeError for bad syntax, a UnicodeDecodeError for bytes its
+# detected encoding cannot decode and a plain ValueError for an integer
+# with more digits than the interpreter converts; and a RecursionError
+# for nesting too deep for the decoder.
+_JSON_ERRORS = (ValueError, RecursionError)
 
 
 def _external_attack_id(obj: dict, index: int) -> str | None:
@@ -284,6 +313,7 @@ def _first_by_id(entities) -> tuple:
     return tuple(by_id[key] for key in sorted(by_id))
 
 
+@_collector_paused
 def parse_stix_bundle(
     data: bytes | str | dict,
     *,
@@ -321,6 +351,9 @@ def parse_stix_bundle(
     skipped = 0
     warnings: list[str] = []
 
+    # As in the entities, one inline test accepts the common case (string
+    # endpoints; an ASCII str name and real bool flags), and the helpers,
+    # which raise the messages and record the skips, run only when it fails.
     for index, obj in enumerate(objects):
         obj_type = obj.get("type") if isinstance(obj, dict) else None
         if not isinstance(obj_type, str):
@@ -329,8 +362,11 @@ def parse_stix_bundle(
             if obj.get("relationship_type") != "mitigates":
                 skipped += 1
                 continue
-            source = _ref(obj, "source_ref", index)
-            target = _ref(obj, "target_ref", index)
+            source = obj.get("source_ref")
+            target = obj.get("target_ref")
+            if not (type(source) is str and type(target) is str):
+                source = _ref(obj, "source_ref", index)
+                target = _ref(obj, "target_ref", index)
             mitigates.append((index, source, target))
             continue
         if obj_type == "attack-pattern":
@@ -347,12 +383,21 @@ def parse_stix_bundle(
         if attack_id is None:
             skipped += 1
             continue
-        try:
-            name, revoked, deprecated = _entity_fields(obj, attack_id)
-        except ValidationError as exc:
-            skipped += 1
-            warnings.append(f"object {index}: {exc}")
-            continue
+        name = obj.get("name")
+        revoked = obj.get("revoked", False)
+        deprecated = obj.get("x_mitre_deprecated", False)
+        if not (
+            type(name) is str
+            and name.isascii()
+            and type(revoked) is bool
+            and type(deprecated) is bool
+        ):
+            try:
+                name, revoked, deprecated = _entity_fields(obj, attack_id)
+            except ValidationError as exc:
+                skipped += 1
+                warnings.append(f"object {index}: {exc}")
+                continue
         if (revoked or deprecated) and not include_deprecated:
             dropped.add(stix_id)
             continue
@@ -555,6 +600,7 @@ def dumps_catalog(catalog: Catalog) -> bytes:
     return text.encode("utf-8")
 
 
+@_collector_paused
 def loads_catalog(data: bytes | str) -> Catalog:
     try:
         doc = json.loads(data)

@@ -117,7 +117,9 @@ def wpm_scores(
 
     A zero cell annihilates the product, so sparse matrices require an
     explicit policy: ``"error"`` rejects the first zero cell by name,
-    ``"epsilon"`` substitutes ``epsilon`` for zeros.
+    ``"epsilon"`` substitutes ``epsilon`` for zeros.  The substitute must
+    lie below the smallest nonzero cell, or an uncovered technique would
+    count for more than a covered one.
     """
     if zero_policy not in ("error", "epsilon"):
         raise ValidationError(
@@ -136,7 +138,14 @@ def wpm_scores(
                 "for sparse matrices"
             )
     else:
-        cells[cells == 0] = epsilon
+        zeros = cells == 0
+        smallest = float(cells[~zeros].min(initial=np.inf))
+        if not epsilon < smallest:
+            raise ValidationError(
+                f"epsilon must be below the smallest nonzero coverage cell "
+                f"{smallest!r}, got {epsilon!r}"
+            )
+        cells[zeros] = epsilon
     exponents = matrix.weights / matrix.weights.sum() if len(matrix.weights) else []
     scores = np.prod(cells**exponents, axis=1)
     return ScoreVector(

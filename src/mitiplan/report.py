@@ -9,6 +9,7 @@ pinned.
 from __future__ import annotations
 
 import json
+import sys
 import time
 from dataclasses import dataclass, replace
 
@@ -173,12 +174,16 @@ def render_plan(
     return _render_entries(_named_entries(plan, names), fmt)
 
 
+_KIND_NAMES = {(int,): "an integer", (int, float): "a number", (str,): "a string"}
+
+
 def _typed(value, kinds: tuple[type, ...], what: str):
     """A document value, if it is one of ``kinds``; JSON's true and false
     are never numbers here."""
     if isinstance(value, bool) or not isinstance(value, kinds):
-        kind = "an integer" if kinds == (int,) else "a number"
-        raise ValidationError(f"not a plan document: {what} must be {kind}, got {value!r}")
+        raise ValidationError(
+            f"not a plan document: {what} must be {_KIND_NAMES[kinds]}, got {value!r}"
+        )
     return value
 
 
@@ -192,10 +197,18 @@ def _plan_entry(entry: dict) -> PlanEntry:
         raise ValidationError(
             f"not a plan document: covered_techniques of {mid} must be a list"
         )
+    score = _typed(entry["score"], (int, float), f"score of {mid}")
+    # NaN and the infinities are no standard JSON number, and an integer
+    # past float range cannot be formatted to fixed decimals.
+    if not abs(score) <= sys.float_info.max:
+        raise ValidationError(
+            f"not a plan document: score of {mid} must be finite in float range, "
+            f"got {score!r}"
+        )
     return PlanEntry(
         rank=_typed(entry["rank"], (int,), f"rank of {mid}"),
         mitigation_id=mid,
-        score=_typed(entry["score"], (int, float), f"score of {mid}"),
+        score=score,
         covered_techniques=tuple(map(parse_technique_id, covered)),
         name=entry["name"],
     )
@@ -210,10 +223,10 @@ def plan_document_from_json(data: bytes) -> PlanDocument:
     try:
         entries = tuple(_plan_entry(entry) for entry in doc["entries"])
         return PlanDocument(
-            tool_version=doc["tool_version"],
-            method=doc["method"],
-            catalog_hash=doc["catalog_hash"],
-            weights_hash=doc["weights_hash"],
+            tool_version=_typed(doc["tool_version"], (str,), "tool_version"),
+            method=_typed(doc["method"], (str,), "method"),
+            catalog_hash=_typed(doc["catalog_hash"], (str,), "catalog_hash"),
+            weights_hash=_typed(doc["weights_hash"], (str,), "weights_hash"),
             timestamp=_typed(doc["timestamp"], (int,), "timestamp"),
             entries=entries,
         )

@@ -15,6 +15,7 @@ from enum import Enum
 
 from .catalog import (
     _check_name,
+    _collector_paused,
     _csv_field,
     _is_technique_id,
     _read_rows,
@@ -90,6 +91,7 @@ class WeightVector:
 WEIGHTS_CSV_HEADER = "no,score,tid,name"
 
 
+@_collector_paused
 def load_weights(data: bytes | str) -> WeightVector:
     """Parse a weights CSV with header ``no,score,tid,name``.
 

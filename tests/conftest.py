@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import sys
 from pathlib import Path
 
@@ -9,6 +10,20 @@ from mitiplan.fixtures import paper_v13_catalog, paper_v13_weights
 from mitiplan.matrix import build_decision_matrix
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+
+@pytest.fixture(autouse=True)
+def _collector_left_enabled():
+    """Fails a test that ends with the cyclic garbage collector disabled.
+
+    The loaders pause the collector while they run; a pause that leaked
+    would switch it off for the rest of the process.  The collector is
+    re-enabled first, so one leak fails one test, not every later one.
+    """
+    yield
+    if not gc.isenabled():
+        gc.enable()
+        pytest.fail("the cyclic garbage collector was left disabled", pytrace=False)
 
 
 @pytest.fixture(scope="session")

@@ -120,6 +120,22 @@ class TestIngest:
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_integer_too_long_to_decode_exits_1(self, fixture_dir, tmp_path, capsys):
+        # Past the interpreter's digit limit json.loads raises a plain ValueError.
+        digits = "1" * 5000
+        bundle = tmp_path / "bundle.json"
+        bundle.write_text(f'{{"type": "bundle", "objects": [], "x": {digits}}}')
+        assert run(["ingest", "stix", "--bundle", str(bundle), "--out", "-"]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: bundle is not valid JSON: Exceeds the limit"
+        )
+        catalog = fixture_dir / "paper_v13_catalog.json"
+        catalog.write_text(f'{{"schema_version": {digits}}}')
+        assert run(_rank_args(fixture_dir, "--out", "-")) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: catalog file is not valid JSON: Exceeds the limit"
+        )
+
     def test_stix_bundle_with_collapse(self, tmp_path):
         bundle = {
             "type": "bundle",
@@ -474,6 +490,17 @@ class TestRank:
         )
         assert code == 0
         assert json.loads(out.read_text())["method"] == "wpm"
+
+    def test_wpm_epsilon_above_a_covered_cell_exits_1(self, fixture_dir, capsys):
+        args = ["--method", "wpm", "--zero-policy", "epsilon", "--epsilon", "1e300"]
+        code = run(_rank_args(fixture_dir, *args, "--format", "csv", "--out", "-"))
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "error: epsilon must be below the smallest nonzero coverage cell 0.1, "
+            "got 1e+300\n"
+        )
 
     def test_bad_top_value(self, fixture_dir, tmp_path, capsys):
         code = run(_rank_args(fixture_dir, "--top", "0", "--out", str(tmp_path / "p.json")))

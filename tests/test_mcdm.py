@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,18 @@ class TestWpm:
         small = wpm_scores(matrix, zero_policy="epsilon", epsilon=1e-9).scores
         large = wpm_scores(matrix, zero_policy="epsilon", epsilon=1e-3).scores
         assert small[0] < large[0]
+
+    def test_epsilon_must_stay_below_every_nonzero_cell(self):
+        matrix = _matrix([[0.5, 0.0], [0.0, 0.25]], [1.0, 1.0])
+        for epsilon in (0.25, 1e300, math.inf):
+            with pytest.raises(ValidationError) as info:
+                wpm_scores(matrix, zero_policy="epsilon", epsilon=epsilon)
+            assert str(info.value) == (
+                "epsilon must be below the smallest nonzero coverage cell 0.25, "
+                f"got {epsilon!r}"
+            )
+        scores = wpm_scores(matrix, zero_policy="epsilon", epsilon=0.2499).scores
+        assert scores[0] > scores[1]
 
     def test_bad_policy_rejected(self, v13_matrix):
         with pytest.raises(ValidationError):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import time
 
 import pytest
@@ -117,6 +118,13 @@ class TestJson:
             (("timestamp",), "5", "timestamp must be an integer, got '5'"),
             (("timestamp",), False, "timestamp must be an integer, got False"),
             (("timestamp",), 5.0, "timestamp must be an integer, got 5.0"),
+            (("entries", 0, "score"), math.nan, "score of M1026 must be finite in float range, got nan"),
+            (("entries", 0, "score"), -math.inf, "score of M1026 must be finite in float range, got -inf"),
+            (("entries", 0, "score"), 10**309, f"score of M1026 must be finite in float range, got {10**309}"),
+            (("tool_version",), 1.0, "tool_version must be a string, got 1.0"),
+            (("method",), 5, "method must be a string, got 5"),
+            (("catalog_hash",), None, "catalog_hash must be a string, got None"),
+            (("weights_hash",), ["x"], "weights_hash must be a string, got ['x']"),
         ],
     )
     def test_rejects_numbers_no_format_can_render(self, v13_plan, path, value, message):
@@ -141,6 +149,10 @@ class TestJson:
     def test_rejects_nesting_too_deep_to_decode(self):
         with pytest.raises(ValidationError, match="not a plan document"):
             plan_document_from_json(b"[" * 100000)
+
+    def test_rejects_integer_too_long_to_decode(self):
+        with pytest.raises(ValidationError, match="^not a plan document: Exceeds the limit"):
+            plan_document_from_json(b'{"timestamp": ' + b"1" * 5000 + b"}")
 
     def test_entries_carry_names(self, v13_plan):
         doc = build_plan_document(v13_plan, names={"M1026": "PAM"}, timestamp=PINNED)
