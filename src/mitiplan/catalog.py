@@ -131,9 +131,11 @@ class IngestStats:
 class Catalog:
     """Immutable technique/mitigation catalog with referential integrity.
 
-    ``mappings`` holds ``(mitigation_id, technique_id)`` pairs.  All three
-    collections are kept sorted so that equal catalogs compare and
-    serialize identically regardless of ingestion order.
+    ``mappings`` holds ``(mitigation_id, technique_id)`` pairs.  The
+    constructor takes the three collections as any iterables, in any
+    order, and stores them as tuples sorted by ID (mappings as pairs),
+    so that equal catalogs compare, hash and serialize identically
+    regardless of ingestion order.
     """
 
     techniques: tuple[Technique, ...]
@@ -141,28 +143,25 @@ class Catalog:
     mappings: tuple[tuple[str, str], ...]
     meta: IngestStats = field(default_factory=IngestStats, compare=False)
 
-    @classmethod
-    def from_parts(cls, techniques, mitigations, mappings, meta=None) -> "Catalog":
-        """Build a catalog from arbitrary iterables, sorting canonically."""
-        return cls(
-            techniques=tuple(sorted(techniques, key=lambda t: t.id)),
-            mitigations=tuple(sorted(mitigations, key=lambda m: m.id)),
-            mappings=tuple(sorted(tuple(p) for p in mappings)),
-            meta=meta or IngestStats(),
-        )
-
     def __post_init__(self):
+        techniques = tuple(sorted(self.techniques, key=lambda t: t.id))
+        mitigations = tuple(sorted(self.mitigations, key=lambda m: m.id))
+        mappings = tuple(sorted(map(tuple, self.mappings)))
+        object.__setattr__(self, "techniques", techniques)
+        object.__setattr__(self, "mitigations", mitigations)
+        object.__setattr__(self, "mappings", mappings)
         # The technique index, built once here and kept out of the dataclass
         # fields, so equality and hashing still see only the content.
-        by_technique: dict[str, list[str]] = {t.id: [] for t in self.techniques}
-        known_mids = {m.id for m in self.mitigations}
-        if len(by_technique) != len(self.techniques):
+        by_technique: dict[str, list[str]] = {t.id: [] for t in techniques}
+        known_mids = {m.id for m in mitigations}
+        if len(by_technique) != len(techniques):
             raise CatalogError("duplicate technique IDs in catalog")
-        if len(known_mids) != len(self.mitigations):
+        if len(known_mids) != len(mitigations):
             raise CatalogError("duplicate mitigation IDs in catalog")
-        if any(a >= b for a, b in zip(self.mappings, self.mappings[1:])):
-            raise CatalogError("mappings must be unique and sorted")
-        for mid, tid in self.mappings:
+        for a, b in zip(mappings, mappings[1:]):
+            if a == b:
+                raise CatalogError(f"duplicate mapping {a[0]} -> {a[1]} in catalog")
+        for mid, tid in mappings:
             if mid not in known_mids:
                 raise CatalogError(f"mapping references unknown mitigation {mid}")
             if tid not in by_technique:
@@ -213,9 +212,7 @@ def collapse_subtechniques(catalog: Catalog) -> Catalog:
     Collapsing an already collapsed catalog is a no-op.
     """
     techniques, mappings = _fold_subtechniques(catalog.techniques, catalog.mappings)
-    return Catalog.from_parts(
-        techniques, catalog.mitigations, mappings, meta=catalog.meta
-    )
+    return Catalog(techniques, catalog.mitigations, mappings, meta=catalog.meta)
 
 
 def _collector_paused(func):
@@ -305,12 +302,12 @@ def _ref(rel: dict, prop: str, index: int) -> str | None:
     return ref
 
 
-def _first_by_id(entities) -> tuple:
-    """The first entity of each ID, sorted by ID."""
+def _first_by_id(entities):
+    """The first entity of each ID."""
     by_id = {}
     for entity in entities:
         by_id.setdefault(entity.id, entity)
-    return tuple(by_id[key] for key in sorted(by_id))
+    return by_id.values()
 
 
 @_collector_paused
@@ -428,12 +425,11 @@ def parse_stix_bundle(
     # entities); keep the first occurrence of each ID.
     kept = _first_by_id(techniques.values())
     if collapse:
-        folded, mappings = _fold_subtechniques(kept, mappings)
-        kept = _first_by_id(folded)
+        kept, mappings = _fold_subtechniques(kept, mappings)
     return Catalog(
         techniques=kept,
         mitigations=_first_by_id(mitigations.values()),
-        mappings=tuple(sorted(mappings)),
+        mappings=mappings,
         meta=IngestStats(
             skipped_objects=skipped,
             dangling_refs=dangling,
@@ -552,7 +548,7 @@ def parse_mapping_csv(
         if mid not in mitigations:
             mitigations[mid] = Mitigation(id=mid)
 
-    return Catalog.from_parts(techniques.values(), mitigations.values(), mappings)
+    return Catalog(techniques.values(), mitigations.values(), mappings)
 
 
 def _json_array(items: list[str]) -> str:
@@ -644,7 +640,7 @@ def loads_catalog(data: bytes | str) -> Catalog:
             mappings.append((pair[0], pair[1]))
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed catalog document: {exc}") from exc
-    return Catalog.from_parts(techniques, mitigations, mappings)
+    return Catalog(techniques, mitigations, mappings)
 
 
 def save_catalog(catalog: Catalog, path: str | Path) -> None:

@@ -20,7 +20,6 @@ from .catalog import (
     load_catalog,
     parse_mapping_csv,
     parse_stix_bundle,
-    parse_technique_id,
     save_catalog,
     dumps_catalog,
 )
@@ -140,9 +139,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     catalog, matrix = _load_matrix(args)
     scores = score_matrix(matrix, args.method)
     plan = rank(scores, matrix)
-    techniques = tuple(
-        parse_technique_id(part.strip()) for part in args.campaign.split(",") if part.strip()
-    )
+    techniques = tuple(part.strip() for part in args.campaign.split(",") if part.strip())
     campaign = Campaign(techniques=techniques, block_threshold=args.k)
     report = compare_orders(plan, catalog, campaign, trials=args.trials, seed=args.seed)
     baseline = report.baseline

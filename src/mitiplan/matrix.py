@@ -10,7 +10,7 @@ and each column of weighted cells sums back to the technique's weight.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -22,18 +22,19 @@ from .scoring import WeightVector, weights_sha256
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True)
 class Provenance:
     """The catalog and weights a matrix was built from, and their hashes.
 
     Each SHA-256 is computed on first read and then kept, so an op that
     prints no provenance never serializes its inputs to hash them.  A
-    holder without inputs reads ``""`` for both.  Holders compare and
-    hash by the two digests, so plans keep provenance in their equality.
+    holder without inputs reads ``""`` for both.  Holders compare by the
+    inputs themselves: both are canonical, so equal inputs are exactly
+    those with equal hashes, and plans keep provenance in their equality.
     """
 
-    catalog: Catalog | None = None
-    weights: WeightVector | None = None
+    catalog: Catalog | None = field(default=None, repr=False)
+    weights: WeightVector | None = field(default=None, repr=False)
 
     @cached_property
     def catalog_hash(self) -> str:
@@ -42,23 +43,6 @@ class Provenance:
     @cached_property
     def weights_hash(self) -> str:
         return "" if self.weights is None else weights_sha256(self.weights)
-
-    def _key(self) -> tuple[str, str]:
-        return self.catalog_hash, self.weights_hash
-
-    def __eq__(self, other):
-        if not isinstance(other, Provenance):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return (
-            f"Provenance(catalog_hash={self.catalog_hash!r}, "
-            f"weights_hash={self.weights_hash!r})"
-        )
 
 
 NO_PROVENANCE = Provenance()

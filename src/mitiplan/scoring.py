@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -51,32 +52,38 @@ class WeightVector:
 
     Weights are strictly positive and deliberately not normalized:
     weighted-sum ranking is invariant to positive scaling, so raw scores
-    are used as-is.  Ties order by ascending technique ID.
+    are used as-is.  The constructor takes the entries as any iterable,
+    in any order, and stores them as a tuple sorted descending by weight,
+    ties by ascending technique ID, with each weight as a float.
     """
 
     entries: tuple[WeightEntry, ...]
 
-    @classmethod
-    def from_entries(cls, entries) -> "WeightVector":
-        ordered = sorted(entries, key=lambda e: (-e.weight, e.technique_id))
-        return cls(entries=tuple(ordered))
-
     def __post_init__(self):
+        entries = []
         seen = set()
         for entry in self.entries:
-            tid = entry.technique_id
-            if not 0 < entry.weight < math.inf:
+            tid, weight = entry.technique_id, entry.weight
+            if type(weight) is not float:
+                if isinstance(weight, bool) or not isinstance(weight, numbers.Real):
+                    raise ValidationError(
+                        f"weight for {tid} must be a real number, got {weight!r}"
+                    )
+                try:
+                    weight = float(weight)
+                except OverflowError:
+                    weight = math.inf
+                entry = WeightEntry(tid, weight, entry.name)
+            if not 0 < weight < math.inf:
                 raise ValidationError(
-                    f"weight for {tid} must be finite and positive, got {entry.weight}"
+                    f"weight for {tid} must be finite and positive, got {weight}"
                 )
             if tid in seen:
                 raise ValidationError(f"duplicate technique {tid}")
             seen.add(tid)
-        for a, b in zip(self.entries, self.entries[1:]):
-            if a.weight < b.weight or (
-                a.weight == b.weight and a.technique_id > b.technique_id
-            ):
-                raise ValidationError("weight entries must be descending by weight")
+            entries.append(entry)
+        entries.sort(key=lambda e: (-e.weight, e.technique_id))
+        object.__setattr__(self, "entries", tuple(entries))
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -126,7 +133,7 @@ def load_weights(data: bytes | str) -> WeightVector:
             raise ParseError(f"weights CSV row {rownum}: duplicate technique {tid}")
         seen.add(tid)
         entries.append(entry)
-    return WeightVector.from_entries(entries)
+    return WeightVector(entries)
 
 
 def render_weights_csv(weights: WeightVector) -> bytes:

@@ -43,12 +43,12 @@ def random_catalog_and_weights(rng, max_t=6, max_m=7):
         picks = int(rng.integers(0, n + 1))
         for tid in rng.choice(tids, size=picks, replace=False):
             mappings.add((mid, str(tid)))
-    catalog = Catalog.from_parts(
+    catalog = Catalog(
         [Technique(tid, "") for tid in tids],
         [Mitigation(mid, "") for mid in mids],
         mappings,
     )
-    weights = WeightVector.from_entries(
+    weights = WeightVector(
         [WeightEntry(tid, float(rng.uniform(0.1, 3.0)), "") for tid in tids]
     )
     return catalog, weights
@@ -116,8 +116,8 @@ def enterprise_catalog_and_weights(seed=2024):
         for tid in tids
     ]
     mitigations = [Mitigation(mid, _odd_name(rng, f"Mitigation {mid}")) for mid in mids]
-    catalog = Catalog.from_parts(techniques, mitigations, mappings)
-    weights = WeightVector.from_entries(
+    catalog = Catalog(techniques, mitigations, mappings)
+    weights = WeightVector(
         [
             WeightEntry(tid, round(float(rng.uniform(0.5, 20.0)), 2), "")
             for tid in tids

@@ -163,7 +163,7 @@ def _collapse_subtechniques(catalog: Catalog) -> Catalog:
         else:
             techniques[tech.id] = tech
     mappings = {(mid, parent_technique(tid)) for mid, tid in catalog.mappings}
-    return Catalog.from_parts(
+    return Catalog(
         techniques.values(), catalog.mitigations, mappings, meta=catalog.meta
     )
 
@@ -313,7 +313,7 @@ def oracle_parse_stix_bundle(
     for mit in mitigations.values():
         uniq_mitigations.setdefault(mit.id, mit)
 
-    catalog = Catalog.from_parts(
+    catalog = Catalog(
         uniq_techniques.values(),
         uniq_mitigations.values(),
         mappings,

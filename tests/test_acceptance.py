@@ -181,7 +181,7 @@ def test_criterion_5_invariant_suite(v13_matrix, v13_catalog, v13_weights):
         )
     assert weighted.sum() == pytest.approx(v13_matrix.weights.sum(), abs=1e-9)
 
-    scaled = WeightVector.from_entries(
+    scaled = WeightVector(
         [
             WeightEntry(e.technique_id, e.weight * 7.3, e.name)
             for e in v13_weights.entries
@@ -350,7 +350,7 @@ def test_criterion_9_persistence_stability(v13_catalog, v13_matrix):
         ],
     }
     ingested = parse_stix_bundle(json.dumps(bundle).encode("utf-8"))
-    expected = Catalog.from_parts(
+    expected = Catalog(
         techniques=[Technique("T1566", name="Phishing")],
         mitigations=[Mitigation("M1017", name="User Training")],
         mappings=[("M1017", "T1566")],

@@ -119,17 +119,17 @@ class TestIds:
 class TestCatalogType:
     def test_duplicate_technique_rejected(self):
         with pytest.raises(CatalogError):
-            Catalog.from_parts(
+            Catalog(
                 [Technique("T1053", "a"), Technique("T1053", "b")], [], []
             )
 
     def test_mapping_referential_integrity(self):
         with pytest.raises(CatalogError, match="^mapping references unknown mitigation M1026$"):
-            Catalog.from_parts(
+            Catalog(
                 [Technique("T1053", "")], [], [("M1026", "T1053")]
             )
         with pytest.raises(CatalogError, match="^mapping references unknown technique T1053$"):
-            Catalog.from_parts(
+            Catalog(
                 [], [Mitigation("M1026", "")], [("M1026", "T1053")]
             )
 
@@ -145,8 +145,31 @@ class TestCatalogType:
     )
     def test_first_unknown_endpoint_named(self, mappings, message):
         with pytest.raises(CatalogError) as info:
-            Catalog.from_parts([Technique("T1053")], [Mitigation("M1026")], mappings)
+            Catalog([Technique("T1053")], [Mitigation("M1026")], mappings)
         assert str(info.value) == f"mapping references {message}"
+
+    def test_duplicate_mapping_named(self):
+        mappings = [("M1026", "T1059"), ("M1026", "T1053"), ["M1026", "T1059"]]
+        with pytest.raises(CatalogError) as info:
+            Catalog(
+                [Technique("T1059"), Technique("T1053")], [Mitigation("M1026")], mappings
+            )
+        assert str(info.value) == "duplicate mapping M1026 -> T1059 in catalog"
+
+    def test_parts_stored_sorted(self):
+        catalog = Catalog(
+            [Technique("T1059"), Technique("T1053")],
+            [Mitigation("M1038"), Mitigation("M1026")],
+            [["M1038", "T1053"], ("M1026", "T1059"), ("M1026", "T1053")],
+        )
+        assert catalog.technique_ids() == ("T1053", "T1059")
+        assert catalog.mitigation_ids() == ("M1026", "M1038")
+        assert catalog.mappings == (
+            ("M1026", "T1053"),
+            ("M1026", "T1059"),
+            ("M1038", "T1053"),
+        )
+        assert catalog.mitigations_for("T1053") == ("M1026", "M1038")
 
     @pytest.mark.parametrize("name", [7, ["x"], None, b"x"])
     def test_non_string_name_rejected(self, name):
@@ -428,7 +451,7 @@ class TestCollapse:
         assert collapse_subtechniques(once) == once
 
     def test_merges_parent_and_sub_mappings(self):
-        catalog = Catalog.from_parts(
+        catalog = Catalog(
             [Technique("T1053", ""), Technique("T1053.005", "")],
             [Mitigation("M1026", ""), Mitigation("M1038", "")],
             [("M1026", "T1053"), ("M1026", "T1053.005"), ("M1038", "T1053.005")],
@@ -438,7 +461,7 @@ class TestCollapse:
         assert collapsed.mappings == (("M1026", "T1053"), ("M1038", "T1053"))
 
     def test_creates_missing_parent(self):
-        catalog = Catalog.from_parts(
+        catalog = Catalog(
             [Technique("T1053.005", "Scheduled Task")],
             [Mitigation("M1026", "")],
             [("M1026", "T1053.005")],
@@ -639,7 +662,7 @@ class TestPersistence:
         )
 
     def test_empty_catalog_document(self):
-        empty = Catalog.from_parts([], [], [])
+        empty = Catalog([], [], [])
         doc = json.loads(dumps_catalog(empty))
         assert doc["techniques"] == []
         assert doc["mitigations"] == []
@@ -706,7 +729,7 @@ class TestPersistence:
     def test_hash_ignores_meta_and_tracks_content(self, v13_catalog):
         base = catalog_sha256(v13_catalog)
         assert base == catalog_sha256(load_catalog_roundtrip(v13_catalog))
-        smaller = Catalog.from_parts(
+        smaller = Catalog(
             v13_catalog.techniques, v13_catalog.mitigations, v13_catalog.mappings[:-1]
         )
         assert catalog_sha256(smaller) != base

@@ -402,7 +402,7 @@ class TestMatrix:
     def test_warning_reaches_stderr_after_closed_redirect(self, tmp_path):
         # The first call installs the log handler while stderr is a buffer
         # that is then closed; a later warning must still reach stderr.
-        catalog = Catalog.from_parts(
+        catalog = Catalog(
             [Technique("T1053"), Technique("T1059")],
             [Mitigation("M1026")],
             [("M1026", "T1053")],
@@ -537,6 +537,17 @@ class TestRank:
             f"error: unsupported catalog schema version {shown} (expected 1)\n"
         )
 
+    def test_duplicate_mapping_exits_1(self, fixture_dir, capsys):
+        path = fixture_dir / "paper_v13_catalog.json"
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["mappings"].append(doc["mappings"][0])
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert run(_rank_args(fixture_dir, "--out", "-")) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        mid, tid = doc["mappings"][0]
+        assert captured.err == f"error: duplicate mapping {mid} -> {tid} in catalog\n"
+
     def test_missing_catalog_file(self, fixture_dir, tmp_path, capsys):
         code = run(
             [
@@ -659,6 +670,20 @@ class TestSimulate:
     def test_unknown_campaign_technique(self, fixture_dir, capsys):
         assert self._simulate(fixture_dir, "T9999") == 1
         assert "T9999" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "campaign, message",
+        [
+            ("T10,T1053", "invalid technique ID: 'T10'"),
+            (" , ", "campaign needs at least one technique"),
+            ("T1053, T1053", "campaign techniques must be unique"),
+        ],
+    )
+    def test_bad_campaign_exits_1(self, fixture_dir, capsys, campaign, message):
+        assert self._simulate(fixture_dir, campaign) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_never_blocked_baseline_line(self, fixture_dir, capsys):
         args = [

@@ -157,7 +157,7 @@ def _catalogs(draw):
     mitigations = [Mitigation(mid, draw(_names)) for mid in mids]
     pairs = [(mid, tid) for mid in mids for tid in tids]
     mappings = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    return Catalog.from_parts(techniques, mitigations, mappings)
+    return Catalog(techniques, mitigations, mappings)
 
 
 @settings(max_examples=200, deadline=None)
@@ -167,7 +167,7 @@ def test_dumps_catalog_equals_json_module(catalog):
 
 
 def test_empty_catalog_equals_json_module():
-    empty = Catalog.from_parts([], [], [])
+    empty = Catalog([], [], [])
     assert dumps_catalog(empty) == oracle_dumps_catalog(empty)
     assert b'"mappings": [],' in dumps_catalog(empty)
 
@@ -184,7 +184,7 @@ def _check_lookups_against_scan(catalog):
 def test_index_lookups_equal_scan(enterprise, v13_catalog):
     _check_lookups_against_scan(enterprise[0])
     _check_lookups_against_scan(v13_catalog)
-    _check_lookups_against_scan(Catalog.from_parts([], [], []))
+    _check_lookups_against_scan(Catalog([], [], []))
 
 
 def test_indexes_stay_out_of_equality_and_hash(enterprise):

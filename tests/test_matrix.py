@@ -30,7 +30,7 @@ CELL_TOL = 2e-5
 
 
 def _weights(pairs):
-    return WeightVector.from_entries(
+    return WeightVector(
         [WeightEntry(tid, weight, "") for tid, weight in pairs]
     )
 
@@ -48,7 +48,7 @@ class TestMappingCounts:
             build_decision_matrix(v13_catalog, weights)
 
     def test_single_pair(self):
-        catalog = Catalog.from_parts(
+        catalog = Catalog(
             [Technique("T1053", "")], [Mitigation("M1026", "")], [("M1026", "T1053")]
         )
         matrix = build_decision_matrix(catalog, _weights([("T1053", 2.0)]))
@@ -106,7 +106,7 @@ class TestBuild:
 
     def test_unmapped_technique_dropped_with_record(self, v13_catalog, caplog):
         weights = _weights([("T1053", 3.0), ("T9998", 2.0)])
-        catalog = Catalog.from_parts(
+        catalog = Catalog(
             list(v13_catalog.techniques) + [Technique("T9998", "unmapped")],
             v13_catalog.mitigations,
             v13_catalog.mappings,
@@ -131,7 +131,7 @@ class TestBuild:
         mappings = list(v13_catalog.mappings)
         for items in (techniques, mitigations, mappings):
             rng.shuffle(items)
-        shuffled = Catalog.from_parts(techniques, mitigations, mappings)
+        shuffled = Catalog(techniques, mitigations, mappings)
         rebuilt = build_decision_matrix(shuffled, v13_weights)
         assert rebuilt.mitigation_ids == v13_matrix.mitigation_ids
         assert rebuilt.technique_ids == v13_matrix.technique_ids
@@ -183,7 +183,7 @@ class TestProvenance:
     def test_plan_equality_compares_hashes(self, v13_catalog, v13_weights):
         first = build_decision_matrix(v13_catalog, v13_weights)
         again = build_decision_matrix(v13_catalog, v13_weights)
-        # Equal inputs, distinct objects: equal by hash value.
+        # Equal inputs, distinct objects: equal by content.
         assert rank(wsm_scores(first), first) == rank(wsm_scores(again), again)
         scaled = _weights([(e.technique_id, e.weight * 2) for e in v13_weights.entries])
         other = build_decision_matrix(v13_catalog, scaled)
@@ -242,7 +242,7 @@ class TestExport:
             )
 
     def test_single_pair_export(self):
-        catalog = Catalog.from_parts(
+        catalog = Catalog(
             [Technique("T1053", "")], [Mitigation("M1026", "")], [("M1026", "T1053")]
         )
         matrix = build_decision_matrix(catalog, _weights([("T1053", 2.5)]))

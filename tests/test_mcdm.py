@@ -208,7 +208,7 @@ class TestRank:
         assert [e.rank for e in plan.entries] == list(range(1, 19))
 
     def test_scale_invariance(self, v13_catalog, v13_weights, v13_matrix):
-        scaled = WeightVector.from_entries(
+        scaled = WeightVector(
             [
                 WeightEntry(e.technique_id, e.weight * 7.3, e.name)
                 for e in v13_weights.entries

@@ -244,7 +244,7 @@ class TestCsvFieldRule:
             [PLAN_CSV_HEADER.split(",")]
             + [[e.rank, e.mitigation_id, e.name, "1.000000", "T1053;T1059"] for e in entries]
         )
-        weights = WeightVector.from_entries(
+        weights = WeightVector(
             WeightEntry(f"T{1000 + i}", 1.0 / i, name) for i, name in enumerate(names, start=1)
         )
         assert render_weights_csv(weights) == _csv_writer_bytes(

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -59,7 +61,7 @@ class TestWeights:
 
     def test_direct_construction_rejects_infinite_weight(self):
         with pytest.raises(ValidationError, match="finite"):
-            WeightVector.from_entries([WeightEntry("T1053", float("inf"), "")])
+            WeightVector([WeightEntry("T1053", float("inf"), "")])
 
     def test_rejects_duplicate_technique(self):
         with pytest.raises((ParseError, ValidationError)):
@@ -73,31 +75,37 @@ class TestWeights:
         with pytest.raises(ParseError, match="row 2"):
             load_weights("no,score,tid,name\n1,2.0,T1053,x\n2,abc,T1059,y\n")
 
-    def test_direct_construction_requires_descending(self):
-        with pytest.raises(ValidationError):
-            WeightVector(
-                entries=(
-                    WeightEntry("T1059", 1.0, ""),
-                    WeightEntry("T1053", 2.0, ""),
-                )
-            )
+    def test_direct_construction_in_any_order_equals_loaded(self, v13_weights):
+        entries = v13_weights.entries
+        shuffled = entries[1::2] + entries[::2]
+        for given in (entries[::-1], list(shuffled), iter(shuffled)):
+            assert WeightVector(given) == v13_weights
 
     @pytest.mark.parametrize(
         "entries, message",
         [
-            # Every entry is checked before the order, so a bad ID in a
-            # misordered vector is reported as the bad ID.
+            # Entries are checked in the order given, before sorting.
             ([("T1059", 1.0), ("T10", 2.0)], "invalid technique ID: 'T10'"),
             ([("T1059", 1.0), ("T1053", 0.0)], "weight for T1053 must be finite and positive, got 0.0"),
             ([("T1053", 2.0), ("T1053", 1.0)], "duplicate technique T1053"),
-            ([("T1059", 1.0), ("T1053", 2.0)], "weight entries must be descending by weight"),
-            ([("T1059", 1.0), ("T1053", 1.0)], "weight entries must be descending by weight"),
+            ([("T1059", 1.0), ("T1053", True)], "weight for T1053 must be a real number, got True"),
+            ([("T1059", 1.0), ("T1053", "2.0")], "weight for T1053 must be a real number, got '2.0'"),
+            ([("T1053", None), ("T1059", "x")], "weight for T1053 must be a real number, got None"),
+            ([("T1053", 10**400)], "weight for T1053 must be finite and positive, got inf"),
         ],
     )
     def test_direct_construction_error_messages(self, entries, message):
         with pytest.raises(ValidationError) as info:
             WeightVector(entries=tuple(WeightEntry(t, w, "") for t, w in entries))
         assert str(info.value) == message
+
+    def test_weights_stored_as_floats(self):
+        floats = WeightVector([WeightEntry("T1053", 2.0), WeightEntry("T1059", 0.5)])
+        for weight, half in ((2, Fraction(1, 2)), (np.float64(2.0), np.float64(0.5))):
+            other = WeightVector([WeightEntry("T1053", weight), WeightEntry("T1059", half)])
+            assert [type(w) for w in other.weights()] == [float, float]
+            assert other == floats
+            assert render_weights_csv(other) == render_weights_csv(floats)
 
     def test_ties_order_by_technique_id(self):
         entries = (WeightEntry("T1053", 1.0, ""), WeightEntry("T1059", 1.0, ""))
@@ -131,7 +139,7 @@ class TestWeights:
     def test_line_breaks_in_names_round_trip(self, name):
         # Only the CSV reader splits lines, so a name keeps its breaks
         # and separators; a bare CR is written quoted.
-        weights = WeightVector.from_entries(
+        weights = WeightVector(
             [WeightEntry("T1053", 2.0, name), WeightEntry("T1059", 1.0, "plain")]
         )
         data = render_weights_csv(weights)
@@ -140,13 +148,13 @@ class TestWeights:
         assert render_weights_csv(load_weights(data)) == data
 
     def test_bare_carriage_return_name_is_quoted(self):
-        weights = WeightVector.from_entries([WeightEntry("T1053", 2.0, "a\rb")])
+        weights = WeightVector([WeightEntry("T1053", 2.0, "a\rb")])
         assert render_weights_csv(weights) == b'no,score,tid,name\n1,2.0,T1053,"a\rb"\n'
 
     def test_hash_tracks_content(self, v13_weights):
         base = weights_sha256(v13_weights)
         assert base == weights_sha256(load_weights(render_weights_csv(v13_weights)))
-        other = WeightVector.from_entries(
+        other = WeightVector(
             [WeightEntry("T1053", 1.0, ""), WeightEntry("T1059", 0.5, "")]
         )
         assert weights_sha256(other) != base

@@ -40,7 +40,7 @@ def v13_plan(v13_matrix):
 
 def _tiny_catalog():
     """Three mitigations; T1059 covered twice, T1112 once, T1036 never."""
-    return Catalog.from_parts(
+    return Catalog(
         techniques=[Technique("T1059"), Technique("T1112"), Technique("T1036")],
         mitigations=[Mitigation("M1038"), Mitigation("M1040"), Mitigation("M1024")],
         mappings=[("M1038", "T1059"), ("M1040", "T1059"), ("M1024", "T1112")],
