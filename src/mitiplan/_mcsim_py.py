@@ -30,14 +30,17 @@ def steps_to_block_batch(orders, covers, threshold, out):
     if not covering or any(rows.size < threshold for rows in covering):
         out[:] = -1
         return
-    steps = np.arange(1, m + 1, dtype=np.int32)
-    positions = np.empty((min(trials, _ROW_BLOCK), m), dtype=np.int32)
+    rows_max = min(trials, _ROW_BLOCK)
+    tiled_steps = np.tile(np.arange(1, m + 1, dtype=np.int32), rows_max)
+    row_start = np.arange(0, rows_max * m, m)[:, None]
+    positions = np.empty((rows_max, m), dtype=np.int32)
     for first in range(0, trials, _ROW_BLOCK):
         block = orders[first : first + _ROW_BLOCK]
+        n = block.shape[0]
         # positions[k, row] = the step at which trial k applies `row`.
-        pos = positions[: block.shape[0]]
-        np.put_along_axis(pos, block, steps, axis=1)
-        blocked_at = np.zeros(block.shape[0], dtype=np.int32)
+        pos = positions[:n]
+        pos.reshape(-1)[(block + row_start[:n]).ravel()] = tiled_steps[: n * m]
+        blocked_at = np.zeros(n, dtype=np.int32)
         for rows in covering:
             cover_steps = pos[:, rows]
             if threshold == 1:
@@ -45,4 +48,4 @@ def steps_to_block_batch(orders, covers, threshold, out):
             else:
                 step = np.partition(cover_steps, threshold - 1, axis=1)[:, threshold - 1]
             np.maximum(blocked_at, step, out=blocked_at)
-        out[first : first + block.shape[0]] = blocked_at
+        out[first : first + n] = blocked_at

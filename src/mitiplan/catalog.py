@@ -146,10 +146,9 @@ class Catalog:
     def __post_init__(self):
         techniques = tuple(sorted(self.techniques, key=lambda t: t.id))
         mitigations = tuple(sorted(self.mitigations, key=lambda m: m.id))
-        mappings = tuple(sorted(map(tuple, self.mappings)))
+        pairs = tuple(self.mappings)
         object.__setattr__(self, "techniques", techniques)
         object.__setattr__(self, "mitigations", mitigations)
-        object.__setattr__(self, "mappings", mappings)
         # The technique index, built once here and kept out of the dataclass
         # fields, so equality and hashing still see only the content.
         by_technique: dict[str, list[str]] = {t.id: [] for t in techniques}
@@ -158,15 +157,31 @@ class Catalog:
             raise CatalogError("duplicate technique IDs in catalog")
         if len(known_mids) != len(mitigations):
             raise CatalogError("duplicate mitigation IDs in catalog")
-        for a, b in zip(mappings, mappings[1:]):
-            if a == b:
-                raise CatalogError(f"duplicate mapping {a[0]} -> {a[1]} in catalog")
-        for mid, tid in mappings:
-            if mid not in known_mids:
-                raise CatalogError(f"mapping references unknown mitigation {mid}")
-            if tid not in by_technique:
-                raise CatalogError(f"mapping references unknown technique {tid}")
-            by_technique[tid].append(mid)
+        # A mapping that is not a pair of strings fails somewhere in here,
+        # as a raw error or as a bogus ID, and only then are pairs checked.
+        try:
+            mappings = tuple(sorted(map(tuple, pairs)))
+            for a, b in zip(mappings, mappings[1:]):
+                if a == b:
+                    raise CatalogError(f"duplicate mapping {a[0]} -> {a[1]} in catalog")
+            for mid, tid in mappings:
+                if mid not in known_mids:
+                    raise CatalogError(f"mapping references unknown mitigation {mid}")
+                if tid not in by_technique:
+                    raise CatalogError(f"mapping references unknown technique {tid}")
+                by_technique[tid].append(mid)
+        except (CatalogError, TypeError, ValueError):
+            for pair in pairs:
+                if not (
+                    isinstance(pair, (tuple, list))
+                    and len(pair) == 2
+                    and all(isinstance(part, str) for part in pair)
+                ):
+                    raise CatalogError(
+                        f"mapping {pair!r} is not a pair of ID strings"
+                    ) from None
+            raise
+        object.__setattr__(self, "mappings", mappings)
         object.__setattr__(
             self, "_by_technique", {k: tuple(v) for k, v in by_technique.items()}
         )

@@ -271,7 +271,7 @@ SCRATCH_BYTES = 9 * 2**17
 # Bytes every lane holds at a pool's peak: its state (slot, trial,
 # counter, i and row offset, 8 bytes each) and its share of a round's
 # temporaries, the Philox block in flight and the arrays made for each
-# word it tests.  tracemalloc puts the whole at 175 to 195 bytes.
+# word it tests.  tracemalloc puts the whole at 171 to 175 bytes.
 _LANE_BYTES = 192
 
 
@@ -344,9 +344,12 @@ def _shuffle_lanes(m: int, trials: int, seed: int, width: int, start, place) -> 
 
     ``start(slots, trials)`` readies lane slots for new trials and returns
     each lane's row offset in the buffer that `place` works on.
-    ``place(slots, pos_i, pos_j, i)`` makes the accepted swaps, given the
-    lanes' slots, the buffer positions of i and j, and i.  It returns a
-    mask of the lanes whose trial is now over, or None.
+    ``place(slots, rows, i, j, accept)`` sees every word the whole pool
+    draws: the lanes' slots and row offsets, each lane's i, the j it
+    drew and whether j <= i accepts it.  Lanes whose shuffle has ended
+    are in it too, at i = 0 (accepting j = 0) or i = -1 (accepting
+    nothing) until the round ends.  It returns the indices (into the
+    pool) of the lanes whose trial is now over, or None.
     """
     masks = np.array([(1 << i.bit_length()) - 1 for i in range(m)], dtype=np.int64)
     slot = np.arange(width)
@@ -365,14 +368,12 @@ def _shuffle_lanes(m: int, trials: int, seed: int, width: int, start, place) -> 
                 # masks[i] is still a valid index and j >= 0.
                 j = halves[half::2] & masks[i]
                 accept = j <= i
-                hit = np.flatnonzero(accept)
-                at, step = row[hit], i[hit]
-                over = place(slot[hit], at + step, at + j[hit], step)
+                over = place(slot, row, i, j, accept)
                 i -= accept
                 if over is not None:
-                    i[hit[over]] = -1
+                    i[over] = -1
         # Free this round's arrays before the next block is made.
-        del x, halves, j, accept, hit, at, step
+        del x, halves, j, accept
         ended = np.flatnonzero(i <= 0)
         if ended.size:
             fresh = ended[: trials - queued]
@@ -400,24 +401,55 @@ def trial_orders(m: int, trials: int, seed: int) -> np.ndarray:
     draws j by masked rejection (u32 & (2^bitlen(i) - 1), redrawn while
     above i) and swaps positions i and j.  Each trial owns its stream,
     so the batch is independent of generation order and any row can be
-    regenerated alone.  Trials run side by side in the lane pool of
-    `_shuffle_lanes`, each shuffling its own row of the result.
+    regenerated alone.
+
+    Trials draw side by side in the lane pool of `_shuffle_lanes`, and
+    each keeps the j it accepted for position i as code i + 1 of its own
+    row of the result, viewed as small integers: a row's 8m bytes hold
+    m + 1 codes below 2m.  Every word is written, accepted or not; a
+    rejected word leaves i in place, so the last word written for i is
+    the accepted one, and lanes past the end (i = 0 or -1) write codes 1
+    and 0, which nothing reads.  The swaps then run one position at a
+    time across a block of trials, on cells no wider than m needs, and
+    each finished block overwrites its rows' codes, all read by then.
     """
     orders = np.empty((trials, m), dtype=np.int64)
-    orders[:] = np.arange(m)
     if m < 2:
+        orders[:] = np.arange(m)
         return orders
-    flat = orders.reshape(-1)
+    codes = orders.view(np.min_scalar_type(2 * m))
+    flat = codes.reshape(-1)
 
     def start(slots, lane_trials):
-        return lane_trials.astype(np.int64) * m
+        return lane_trials.astype(np.int64) * codes.shape[1] + 1
 
-    def place(slots, pos_i, pos_j, i):
-        held = flat[pos_i]
-        flat[pos_i] = flat[pos_j]
-        flat[pos_j] = held
+    def place(slots, rows, i, j, accept):
+        flat[rows + i] = j
 
     _shuffle_lanes(m, trials, seed, _pool_width(trials, _LANE_BYTES), start, place)
+    if trials == 0:
+        return orders
+    # A trial's swap scratch: its column of cells, the cell it holds
+    # during a swap and the one np.take buffers, its cell index and lane
+    # number, and the buffer that widens its code to an index.
+    cell = np.min_scalar_type(m)
+    width = _pool_width(trials, (m + 2) * cell.itemsize + 24)
+    cells = np.empty(m * width, dtype=cell)
+    held = np.empty(width, dtype=cell)
+    at = np.empty(width, dtype=np.intp)
+    lanes = np.arange(width)
+    for first in range(0, trials, width):
+        n = min(width, trials - first)
+        # work[k, lane] holds position k of trial first + lane.
+        work = cells[: m * n].reshape(m, n)
+        work[:] = np.arange(m, dtype=cell)[:, None]
+        for i in range(m - 1, 0, -1):
+            np.multiply(codes[first : first + n, i + 1], n, out=at[:n], dtype=np.intp)
+            at[:n] += lanes[:n]
+            held[:n] = work[i]
+            np.take(cells, at[:n], out=work[i])
+            cells[at[:n]] = held[:n]
+        orders[first : first + n] = work.T
     return orders
 
 
@@ -464,15 +496,18 @@ def backward_steps(covers: np.ndarray, threshold: int, trials: int, seed: int) -
         owner[slots] = lane_trials
         return slots * m
 
-    def place(slots, pos_i, pos_j, i):
+    def place(slots, rows, i, j, accept):
+        hit = np.flatnonzero(accept)
+        slots, at, i = slots[hit], rows[hit], i[hit]
+        pos_j = at + j[hit]
         # Position i is final, so only the swap's other half is written.
         placed = flat[pos_j]
-        flat[pos_j] = flat[pos_i]
+        flat[pos_j] = flat[at + i]
         remaining = left[slots] - cover_rows[placed]
         left[slots] = remaining
         over = (remaining < threshold).any(axis=1)
         out[owner[slots[over]]] = i[over] + 1
-        return over
+        return hit[over]
 
     _shuffle_lanes(m, trials, seed, width, start, place)
     return out

@@ -148,6 +148,30 @@ class TestCatalogType:
             Catalog([Technique("T1053")], [Mitigation("M1026")], mappings)
         assert str(info.value) == f"mapping references {message}"
 
+    @pytest.mark.parametrize(
+        "mappings, bad",
+        [
+            # A non-string ID, alone or beside a good pair (the sort fails).
+            ([(None, "T1053")], (None, "T1053")),
+            ([("M1026", "T1053"), (None, "T1053")], (None, "T1053")),
+            ([("M1026", "T1053"), ("M1026", None)], ("M1026", None)),
+            ([("M1026", "T1053", "x")], ("M1026", "T1053", "x")),
+            ([("M1026",)], ("M1026",)),
+            ([("M1026", "T1053"), 7], 7),
+            ([(["M1026"], "T1053")], (["M1026"], "T1053")),
+            ([("M1026", "T1053"), (["M1026"], "T1053")], (["M1026"], "T1053")),
+            # A string is not a pair, even one that iterates as two IDs.
+            (["MT"], "MT"),
+            ([("M1026", "T1053"), ("M1026", "T1053", "x"), ("M1026", "T1053", "x")],
+             ("M1026", "T1053", "x")),
+        ],
+    )
+    def test_malformed_mapping_named(self, mappings, bad):
+        with pytest.raises(CatalogError) as info:
+            Catalog([Technique("T1053")], [Mitigation("M1026")], mappings)
+        assert str(info.value) == f"mapping {bad!r} is not a pair of ID strings"
+        assert info.value.__cause__ is None and info.value.__suppress_context__
+
     def test_duplicate_mapping_named(self):
         mappings = [("M1026", "T1059"), ("M1026", "T1053"), ["M1026", "T1059"]]
         with pytest.raises(CatalogError) as info:

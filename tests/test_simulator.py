@@ -305,6 +305,18 @@ class TestTrialOrders:
         for trials in (width - 1, width, width + 1):
             assert np.array_equal(trial_orders(m, trials, seed), expected[:trials])
 
+    @pytest.mark.parametrize("m", [127, 128, 129, 255, 256, 257])
+    def test_matches_per_trial_generator_at_dtype_boundaries(self, m):
+        # The draws' codes widen from uint8 to uint16 at m = 128 and the
+        # swap cells at m = 256.  Pinned pools of 5 lanes (and swap blocks
+        # of 5 trials) put the last block at 4, 5 and then 1 trial.
+        seed = MAX_SEED - m
+        expected = oracle_trial_orders(m, 6, seed)
+        with pytest.MonkeyPatch.context() as patch:
+            _pin_width(patch, 5)
+            for trials in (4, 5, 6):
+                assert np.array_equal(trial_orders(m, trials, seed), expected[:trials])
+
     @settings(max_examples=60, deadline=None)
     @given(
         m=st.integers(0, 70),
@@ -447,6 +459,50 @@ class TestWalks:
             assert forward_bytes == simulator._LANE_BYTES
             assert backward_bytes == forward_bytes + 8 * m + t + 8
 
+    def test_place_sees_the_whole_pool(self):
+        # `place` gets every word the live pool draws, and the lane
+        # indices it returns end those lanes' trials: trials 1, 4 and 7
+        # end after their third draw, the rest run to the end of their
+        # shuffle.  Every trial, also one that takes a lane over, draws
+        # its stream from counter 1.  The row offsets are trial numbers.
+        m, trials, width, seed = 7, 11, 4, 2**63 + 5
+        words = 8  # per round: four 64-bit words, two halves each
+        started, ended, draws, calls = [], set(), {}, []
+        left = {}  # each trial's i after the last word it drew
+
+        def start(slots, lane_trials):
+            started.extend(lane_trials.tolist())
+            return lane_trials.astype(np.int64)
+
+        def place(slots, rows, i, j, accept):
+            assert slots.size == rows.size == i.size == j.size == accept.size
+            assert np.array_equal(accept, j <= i)
+            if len(calls) % words == 0:
+                # A round's first word: the live pool is every trial
+                # started and not yet over, one lane each.
+                ended.update(t for t, i_t in left.items() if i_t <= 0)
+                live = [t for t in started if t not in ended]
+                assert sorted(rows.tolist()) == live
+                assert np.unique(slots).size == slots.size
+            else:
+                assert np.array_equal(rows, calls[-1])
+            calls.append(rows.copy())
+            over = []
+            for k, (t, i_t, j_t) in enumerate(zip(rows.tolist(), i.tolist(), j.tolist())):
+                if i_t >= 1:
+                    draws.setdefault(t, []).append((i_t, j_t))
+                left[t] = i_t - (j_t <= i_t)
+                if t % 3 == 1 and i_t > 0 and len(draws[t]) == 3:
+                    over.append(k)
+                    left[t] = -1
+            return np.array(over, dtype=np.intp) if over else None
+
+        simulator._shuffle_lanes(m, trials, seed, width, start, place)
+        assert started == list(range(trials))
+        for t in range(trials):
+            expected = _stream_draws(m, seed, t)
+            assert draws[t] == (expected[:3] if t % 3 == 1 else expected)
+
     def test_each_walk_sizes_its_own_pool(self):
         # The forward lane holds O(1) state; the backward lane adds its
         # m-entry prefix row, t counts and trial number, so at Enterprise
@@ -540,6 +596,23 @@ def _pin_width(patch, lanes):
 
     patch.setattr(simulator, "_pool_width", width)
     return asked
+
+
+def _stream_draws(m, seed, t):
+    """Every (i, j) draw of NumPy's masked-rejection Fisher-Yates on
+    trial t's stream, Philox keyed (seed, t) from counter 1, read 32 bits
+    at a time with each word's low half first; rejected draws included."""
+    raw = np.random.Philox(key=np.array([seed, t], dtype=np.uint64)).random_raw(8 * m)
+    halves = iter(np.stack([raw & 0xFFFFFFFF, raw >> 32], axis=1).ravel().tolist())
+    draws = []
+    for i in range(m - 1, 0, -1):
+        mask = (1 << i.bit_length()) - 1
+        while True:
+            j = next(halves) & mask
+            draws.append((i, j))
+            if j <= i:
+                break
+    return draws
 
 
 def _oracle_batch(orders, covers, threshold):
