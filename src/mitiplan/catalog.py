@@ -75,47 +75,57 @@ def _check_name(entity_id: str, name) -> None:
         ) from None
 
 
-# Each entity accepts the common case (an exact str ID and an ASCII str
-# name, real bool flags) in one inline test, and runs the full checks,
-# which raise the messages, only when that test fails.
+# Each entity's own __init__ accepts the common case (an exact str ID and
+# an ASCII str name, real bool flags) in one inline test on its
+# arguments, and runs the full checks, which raise the messages, only
+# when that test fails; it then sets the frozen slots directly.
+_set = object.__setattr__
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Technique:
     id: str
     name: str = ""
     revoked: bool = False
     deprecated: bool = False
 
-    def __post_init__(self):
+    def __init__(
+        self, id: str, name: str = "", revoked: bool = False, deprecated: bool = False
+    ):
         if not (
-            type(self.id) is str
-            and _is_technique_id(self.id)
-            and type(self.name) is str
-            and self.name.isascii()
-            and type(self.revoked) is bool
-            and type(self.deprecated) is bool
+            type(id) is str
+            and _is_technique_id(id)
+            and type(name) is str
+            and name.isascii()
+            and type(revoked) is bool
+            and type(deprecated) is bool
         ):
-            parse_technique_id(self.id)
-            _check_name(self.id, self.name)
-            _check_type(self.id, "revoked", self.revoked, bool)
-            _check_type(self.id, "deprecated", self.deprecated, bool)
+            parse_technique_id(id)
+            _check_name(id, name)
+            _check_type(id, "revoked", revoked, bool)
+            _check_type(id, "deprecated", deprecated, bool)
+        _set(self, "id", id)
+        _set(self, "name", name)
+        _set(self, "revoked", revoked)
+        _set(self, "deprecated", deprecated)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Mitigation:
     id: str
     name: str = ""
 
-    def __post_init__(self):
+    def __init__(self, id: str, name: str = ""):
         if not (
-            type(self.id) is str
-            and _is_mitigation_id(self.id)
-            and type(self.name) is str
-            and self.name.isascii()
+            type(id) is str
+            and _is_mitigation_id(id)
+            and type(name) is str
+            and name.isascii()
         ):
-            parse_mitigation_id(self.id)
-            _check_name(self.id, self.name)
+            parse_mitigation_id(id)
+            _check_name(id, name)
+        _set(self, "id", id)
+        _set(self, "name", name)
 
 
 @dataclass(frozen=True)
@@ -481,10 +491,12 @@ def _read_rows(data: bytes | str, label: str, header: str) -> list[tuple[int, li
         raise ParseError(f"{label} {where}: malformed CSV: {exc}") from None
     if not rows or ",".join(rows[0]) != header:
         raise ParseError(f"{label}: header must be exactly {header!r}")
+    # A row is blank when no cell holds more than whitespace, that is when
+    # its cells joined do not.
     return [
         (rownum, row)
         for rownum, row in enumerate(rows[1:], start=1)
-        if row and any(cell.strip() for cell in row)
+        if "".join(row).strip()
     ]
 
 
@@ -640,19 +652,18 @@ def loads_catalog(data: bytes | str) -> Catalog:
             Mitigation(entry["id"], entry.get("name", ""))
             for entry in doc.get("mitigations", [])
         ]
+        # JSON decodes arrays and strings to exactly list and str.
         mappings = []
         for pair in doc.get("mappings", []):
-            if not (
-                isinstance(pair, list)
-                and len(pair) == 2
-                and isinstance(pair[0], str)
-                and isinstance(pair[1], str)
-            ):
-                raise ParseError(
-                    f"malformed catalog document: mapping {pair!r} "
-                    "is not a pair of ID strings"
-                )
-            mappings.append((pair[0], pair[1]))
+            if type(pair) is list and len(pair) == 2:
+                mid, tid = pair
+                if type(mid) is str and type(tid) is str:
+                    mappings.append((mid, tid))
+                    continue
+            raise ParseError(
+                f"malformed catalog document: mapping {pair!r} "
+                "is not a pair of ID strings"
+            )
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed catalog document: {exc}") from exc
     return Catalog(techniques, mitigations, mappings)

@@ -155,9 +155,9 @@ def build_decision_matrix(catalog: Catalog, weights: WeightVector) -> DecisionMa
     mitigation_ids = tuple(sorted({mid for column in columns for mid in column}))
     row_of = {mid: i for i, mid in enumerate(mitigation_ids)}
     coverage = np.zeros((len(mitigation_ids), len(technique_ids)))
-    for j, column in enumerate(columns):
-        for mid in column:
-            coverage[row_of[mid], j] = 1.0
+    rows = [row_of[mid] for column in columns for mid in column]
+    cols = np.repeat(np.arange(len(columns)), [len(column) for column in columns])
+    coverage[rows, cols] = 1.0
     coverage /= coverage.sum(axis=0)
 
     return DecisionMatrix(

@@ -20,12 +20,13 @@ from .catalog import (
     _csv_field,
     _is_technique_id,
     _read_rows,
+    _set,
     parse_technique_id,
 )
 from .errors import ParseError, ValidationError
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class WeightEntry:
     """One technique's weight.  The ID and name are checked here, as the
     catalog entities check theirs; the weight is checked by
@@ -35,15 +36,18 @@ class WeightEntry:
     weight: float
     name: str = ""
 
-    def __post_init__(self):
+    def __init__(self, technique_id: str, weight: float, name: str = ""):
         if not (
-            type(self.technique_id) is str
-            and _is_technique_id(self.technique_id)
-            and type(self.name) is str
-            and self.name.isascii()
+            type(technique_id) is str
+            and _is_technique_id(technique_id)
+            and type(name) is str
+            and name.isascii()
         ):
-            parse_technique_id(self.technique_id)
-            _check_name(self.technique_id, self.name)
+            parse_technique_id(technique_id)
+            _check_name(technique_id, name)
+        _set(self, "technique_id", technique_id)
+        _set(self, "weight", weight)
+        _set(self, "name", name)
 
 
 @dataclass(frozen=True)
@@ -126,7 +130,7 @@ def load_weights(data: bytes | str) -> WeightVector:
                 f"got {score}"
             )
         try:
-            entry = WeightEntry(technique_id=tid, weight=score, name=name)
+            entry = WeightEntry(tid, score, name)
         except ValidationError as exc:
             raise ParseError(f"weights CSV row {rownum}: {exc}") from exc
         if tid in seen:

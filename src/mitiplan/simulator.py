@@ -12,6 +12,7 @@ regardless of evaluation order.
 from __future__ import annotations
 
 import logging
+import math
 import numbers
 import sys
 from dataclasses import dataclass
@@ -483,9 +484,19 @@ def backward_steps(covers: np.ndarray, threshold: int, trials: int, seed: int) -
         return out
     count_type = np.min_scalar_type(-m)
     cover_rows = covers.astype(count_type)
-    # A lane adds its prefix row, its t counts and its trial's number.
-    width = _pool_width(trials, _LANE_BYTES + 8 * m + count_type.itemsize * t + 8)
-    prefix = np.empty((width, m), dtype=np.int64)
+    # A lane adds its prefix row, in cells no wider than m needs, its
+    # trial's number and four arrays of t counts: its own, and the three
+    # temporaries `place` makes for it on a hit (`left[slots]`,
+    # `cover_rows[placed]` and `remaining`) with their `< threshold`
+    # mask.  tracemalloc puts a full pool's peak past its output at 0.81
+    # of SCRATCH_BYTES at m = 45, t = 20, 0.79 at m = 100, t = 60 and
+    # 0.97 at m = 257, t = 3; counting the t counts once put it at 0.93,
+    # 1.18 and 1.00.
+    cell = np.min_scalar_type(m - 1)
+    width = _pool_width(
+        trials, _LANE_BYTES + cell.itemsize * m + 4 * count_type.itemsize * t + 8
+    )
+    prefix = np.empty((width, m), dtype=cell)
     flat = prefix.reshape(-1)
     left = np.empty((width, t), dtype=count_type)
     owner = np.empty(width, dtype=np.int64)
@@ -555,6 +566,13 @@ def random_baseline(
     if blocked.size:
         mean = float(blocked.mean())
         std = float(blocked.std())
+        if blocked.size > 1 and log.isEnabledFor(logging.INFO):
+            se = float(blocked.std(ddof=1)) / math.sqrt(blocked.size)
+            log.info(
+                "random baseline: standard error of the mean %.4f over %d blocked trials",
+                se,
+                blocked.size,
+            )
     else:
         mean = std = None
     return MonteCarloSummary(

@@ -650,7 +650,12 @@ class TestSimulate:
             "50",
         ]
         assert _cli_stderr(*argv) == []
-        assert _cli_stderr("-v", *argv) == [f"INFO mitiplan.simulator: random baseline: {line}"]
+        walk, error = _cli_stderr("-v", *argv)
+        assert walk == f"INFO mitiplan.simulator: random baseline: {line}"
+        assert error.startswith(
+            "INFO mitiplan.simulator: random baseline: standard error of the mean "
+        )
+        assert error.endswith(" over 50 blocked trials")
 
     def test_wpm_is_not_a_simulate_method(self, fixture_dir, capsys):
         args = [
@@ -903,6 +908,26 @@ class TestMalformedCsv:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == message
+
+    def test_whitespace_rows_are_blank_but_counted(self, fixture_dir, capsysbinary):
+        # Whitespace-only rows between the data rows change no ranking,
+        # and a later error still cites the row number counting them.
+        assert run(_rank_args(fixture_dir, "--format", "csv", "--out", "-")) == 0
+        expected = capsysbinary.readouterr().out
+        path = fixture_dir / "paper_v13_weights.csv"
+        header, *rows = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        blanks = [" \n", "\t,\u3000\n", ' ,"  ",\u2028\n']
+        spaced = [header]
+        for row, blank in zip(rows, blanks * len(rows)):
+            spaced += [row, blank]
+        path.write_text("".join(spaced), encoding="utf-8")
+        assert run(_rank_args(fixture_dir, "--format", "csv", "--out", "-")) == 0
+        assert capsysbinary.readouterr().out == expected
+        path.write_text("".join(spaced[:5] + ["3,0,T1562,x\n"]), encoding="utf-8")
+        assert run(_rank_args(fixture_dir, "--out", "-")) == 1
+        assert capsysbinary.readouterr().err.decode() == (
+            "error: weights CSV row 5: score must be finite and positive, got 0.0\n"
+        )
 
     def test_mapping_csv_exit_1(self, fixture_dir, tmp_path, capsys):
         mappings = tmp_path / "mappings.csv"

@@ -8,7 +8,9 @@ verdicts and messages.  CSV reading is strict about quoted cells.
 from __future__ import annotations
 
 import copy
+import csv
 import dataclasses
+import io
 import pickle
 
 import pytest
@@ -20,6 +22,8 @@ from mitiplan.catalog import (
     Technique,
     _check_name,
     _check_type,
+    _csv_field,
+    _read_rows,
     parse_mapping_csv,
     parse_mitigation_id,
     parse_technique_id,
@@ -141,6 +145,21 @@ class TestSlottedRecords:
         WeightEntry("T1053", 2.951542857, "Scheduled Task/Job"),
     ]
 
+    @pytest.mark.parametrize(
+        "kind, values",
+        [
+            (Technique, {"id": "T1053.005", "name": "x", "revoked": True, "deprecated": False}),
+            (Technique, {"id": "T1053", "name": "", "revoked": False, "deprecated": True}),
+            (Mitigation, {"id": "M1026", "name": "x"}),
+            (WeightEntry, {"technique_id": "T1053", "weight": 2.5, "name": "x"}),
+        ],
+    )
+    def test_init_sets_every_field(self, kind, values):
+        record = kind(**values)
+        assert {f.name: getattr(record, f.name) for f in dataclasses.fields(kind)} == values
+        assert kind(*values.values()) == record
+        assert record.__match_args__ == tuple(values)
+
     @pytest.mark.parametrize("record", RECORDS, ids=repr)
     def test_copies_and_replace(self, record):
         assert not hasattr(record, "__dict__")
@@ -215,3 +234,30 @@ class TestStrictCsvReading:
         oversized = "no,score,tid,name\n1,2,T1000," + "x" * 200_000 + "\n"
         with pytest.raises(ParseError, match=r"^weights CSV row 1: malformed CSV: field larger"):
             load_weights(oversized)
+
+
+# Cells for blank-row tests: empty, whitespace (ASCII, the Unicode line
+# separator and the ideographic space), a letter and a separator, which
+# is written quoted.
+_BLANK_ROW_CELLS = st.sampled_from(["", " ", "\t", "\u2028", "\u3000", "x", ","])
+
+
+class TestBlankRows:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rows=st.lists(st.lists(_BLANK_ROW_CELLS, max_size=4), max_size=8),
+        newline=st.sampled_from(["\n", "\r\n"]),
+    )
+    def test_blank_rows_left_out(self, rows, newline):
+        # `_read_rows` keeps exactly the rows in which some cell holds
+        # more than whitespace, numbered as the CSV reader reads them.
+        data = "h" + newline + "".join(
+            ",".join(_csv_field(cell) for cell in row) + newline for row in rows
+        )
+        read = list(csv.reader(io.StringIO(data, newline=""), strict=True))[1:]
+        expected = [
+            (rownum, row)
+            for rownum, row in enumerate(read, start=1)
+            if row and any(cell.strip() for cell in row)
+        ]
+        assert _read_rows(data, "test CSV", "h") == expected

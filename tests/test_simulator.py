@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
+import statistics
 import tracemalloc
 
 import numpy as np
@@ -397,6 +398,41 @@ class TestRandomBaseline:
         with pytest.raises(ValidationError, match="seed"):
             random_baseline(v13_catalog, Campaign(techniques=("T1059",)), 10, seed)
 
+    def test_verbose_logs_the_standard_error(self, v13_catalog, caplog):
+        # The README campaign: the sample std over the blocked trials,
+        # by the standard library, over the square root of their count.
+        caplog.set_level(logging.INFO, logger="mitiplan.simulator")
+        random_baseline(v13_catalog, Campaign(techniques=("T1053", "T1059")), 10000, 42)
+        covers = simulator._cover_matrix(v13_catalog, ("T1053", "T1059"))
+        steps = [s for s in forward_steps(covers, 1, 10000, 42).tolist() if s > 0]
+        se = statistics.stdev(steps) / math.sqrt(len(steps))
+        assert len(steps) == 10000
+        assert caplog.messages[1:] == [
+            f"random baseline: standard error of the mean {se:.4f} over 10000 blocked trials"
+        ]
+        assert caplog.messages[1] == (
+            "random baseline: standard error of the mean 0.0246 over 10000 blocked trials"
+        )
+
+    @pytest.mark.parametrize("trials", [1, 2])
+    def test_standard_error_needs_two_blocked_trials(self, v13_catalog, caplog, trials):
+        caplog.set_level(logging.INFO, logger="mitiplan.simulator")
+        random_baseline(v13_catalog, Campaign(techniques=("T1059",)), trials, 3)
+        assert len(caplog.messages) == trials
+        caplog.clear()
+        # Never blocks (T1036 has no cover), so there is no mean either.
+        random_baseline(_tiny_catalog(), Campaign(techniques=("T1036",)), 50, 3)
+        assert len(caplog.messages) == 1
+
+    def test_standard_error_unlogged_without_info(self, v13_catalog, caplog, monkeypatch):
+        # With INFO off the sample std is never computed.
+        caplog.set_level(logging.WARNING, logger="mitiplan.simulator")
+        campaign = Campaign(techniques=("T1053", "T1059"))
+        expected = random_baseline(v13_catalog, campaign, 200, 3)
+        monkeypatch.setattr(simulator, "math", None)
+        assert random_baseline(v13_catalog, campaign, 200, 3) == expected
+        assert caplog.messages == []
+
     def test_numpy_integer_arguments_normalised(self, v13_catalog):
         campaign = Campaign(techniques=("T1059",))
         summary = random_baseline(v13_catalog, campaign, np.int64(50), np.uint64(MAX_SEED))
@@ -450,14 +486,20 @@ class TestWalks:
             covers[:threshold] = 1  # every technique can block
             orders = oracle_trial_orders(m, trials, seed)
             expected = _oracle_batch(orders, covers, threshold)
+            # Each walk runs in its own context, so the bytes per lane
+            # asked for there are that walk's alone, however many pools
+            # it sizes.
             with pytest.MonkeyPatch.context() as patch:
-                asked = _pin_width(patch, lanes)
+                forward_asked = _pin_width(patch, lanes)
                 assert np.array_equal(trial_orders(m, trials, seed), orders)
                 assert forward_steps(covers, threshold, trials, seed).tolist() == expected
+            with pytest.MonkeyPatch.context() as patch:
+                backward_asked = _pin_width(patch, lanes)
                 assert backward_steps(covers, threshold, trials, seed).tolist() == expected
-            forward_bytes, backward_bytes = asked[0], asked[-1]
-            assert forward_bytes == simulator._LANE_BYTES
-            assert backward_bytes == forward_bytes + 8 * m + t + 8
+            assert simulator._LANE_BYTES in forward_asked or trials == 0
+            assert set(backward_asked) == {_backward_lane_bytes(m, t)} or (
+                trials == 0 and not backward_asked
+            )
 
     def test_place_sees_the_whole_pool(self):
         # `place` gets every word the live pool draws, and the lane
@@ -505,13 +547,15 @@ class TestWalks:
 
     def test_each_walk_sizes_its_own_pool(self):
         # The forward lane holds O(1) state; the backward lane adds its
-        # m-entry prefix row, t counts and trial number, so at Enterprise
-        # size (m = 45, t = 20) its pool is a third as wide.
+        # m one-byte prefix cells, four arrays of t one-byte counts and
+        # its trial number, so at Enterprise size (m = 45, t = 20) its
+        # pool is about three fifths as wide.
         budget = simulator.SCRATCH_BYTES
         forward = simulator._pool_width(10**6, simulator._LANE_BYTES)
-        backward = simulator._pool_width(10**6, simulator._LANE_BYTES + 8 * 45 + 20 + 8)
+        backward = simulator._pool_width(10**6, _backward_lane_bytes(45, 20))
+        assert _backward_lane_bytes(45, 20) == simulator._LANE_BYTES + 45 + 4 * 20 + 8 == 325
         assert forward == budget // simulator._LANE_BYTES == 6144
-        assert backward == 2033
+        assert backward == 3629
         assert simulator._pool_width(100, simulator._LANE_BYTES) == 100
         assert simulator._pool_width(0, simulator._LANE_BYTES) == 0
         assert simulator._pool_width(5, 2 * budget) == 1
@@ -519,11 +563,21 @@ class TestWalks:
     def test_pools_hold_their_scratch_budget(self):
         # Scratch memory at a full pool's peak, past the walk's own
         # output, stays within SCRATCH_BYTES: the bytes per lane that set
-        # the widths are what the lanes really hold.  The backward walk's
-        # swaps also copy t counts per lane, uncounted, hence the 2%.
+        # the widths are what the lanes really hold.  The 2% is NumPy's
+        # constant temporaries, which no lane count covers.  At m = 257
+        # the backward walk's prefix cells are two bytes wide; at t = 60
+        # its lanes' counts outweigh their prefix rows.
         covers = _random_covers(45, 20, seed=2, density=0.08)
-        covers[:2] = 1
-        for walk, args in ((trial_orders, (45,)), (backward_steps, (covers, 2))):
+        wide = _random_covers(257, 3, seed=2, density=0.05)
+        many = _random_covers(100, 60, seed=2, density=0.05)
+        for case in (covers, wide, many):
+            case[:2] = 1
+        for walk, args in (
+            (trial_orders, (45,)),
+            (backward_steps, (covers, 2)),
+            (backward_steps, (wide, 2)),
+            (backward_steps, (many, 2)),
+        ):
             tracemalloc.start()
             try:
                 out = walk(*args, 12000, 11)
@@ -531,6 +585,23 @@ class TestWalks:
             finally:
                 tracemalloc.stop()
             assert peak - out.nbytes <= 1.02 * simulator.SCRATCH_BYTES
+
+    @pytest.mark.parametrize("lanes", [1, 2, 7])
+    @pytest.mark.parametrize("threshold", [1, 2])
+    @pytest.mark.parametrize("m", [255, 256, 257])
+    def test_backward_matches_oracle_at_cell_boundaries(self, m, threshold, lanes):
+        # The prefix cells are one byte up to m = 256 and two from
+        # m = 257.  Row m - 1 covers every technique and row 0 none, so
+        # a cell that wraps m - 1 to 0 takes away no cover where it
+        # should take one from each technique.
+        covers = _random_covers(m, 3, seed=m, density=0.02)
+        covers[0] = 0
+        covers[-threshold:] = 1
+        trials, seed = 9, m
+        expected = _oracle_batch(oracle_trial_orders(m, trials, seed), covers, threshold)
+        with pytest.MonkeyPatch.context() as patch:
+            _pin_width(patch, lanes)
+            assert backward_steps(covers, threshold, trials, seed).tolist() == expected
 
     @pytest.mark.parametrize("threshold", [1, 2, 3])
     def test_unblockable_technique_walks_nothing(self, threshold, monkeypatch):
@@ -558,9 +629,10 @@ class TestWalks:
         campaign = Campaign(techniques=("T1112", "T1059"))
         taken, summary = self._walk_taken(v13_catalog, campaign)
         assert taken == ["backward_steps"]
-        assert caplog.messages == [
+        # The standard error's line follows (TestRandomBaseline).
+        assert caplog.messages[0] == (
             "random baseline: backward walk (T1112 has 1 covers, <= 2k-1 = 1)"
-        ]
+        )
         covers = simulator._cover_matrix(v13_catalog, ("T1059", "T1112"))
         steps = forward_steps(covers, 1, 300, 9)
         assert summary.mean_steps == float(steps.mean())
@@ -571,9 +643,10 @@ class TestWalks:
         campaign = Campaign(techniques=("T1053", "T1059"))
         taken, _ = self._walk_taken(v13_catalog, campaign)
         assert taken == ["forward_steps"]
-        assert caplog.messages == [
+        # The standard error's line follows (TestRandomBaseline).
+        assert caplog.messages[0] == (
             "random baseline: forward walk (T1053 has 4 covers, > 2k-1 = 1)"
-        ]
+        )
 
     def test_threshold_moves_the_boundary(self, v13_catalog):
         # T1053's 4 covers take the forward walk at k = 2 (2k - 1 = 3) and
@@ -596,6 +669,16 @@ def _pin_width(patch, lanes):
 
     patch.setattr(simulator, "_pool_width", width)
     return asked
+
+
+def _backward_lane_bytes(m, t):
+    """Bytes per lane of the backward walk's pool: the forward lane's
+    state, a prefix row of cells no wider than m needs, four arrays of t
+    counts (the lane's own and `place`'s temporaries) and a trial
+    number."""
+    cell = np.min_scalar_type(m - 1).itemsize
+    count = np.min_scalar_type(-m).itemsize
+    return simulator._LANE_BYTES + cell * m + 4 * count * t + 8
 
 
 def _stream_draws(m, seed, t):
