@@ -276,10 +276,11 @@ SCRATCH_BYTES = 9 * 2**17
 _LANE_BYTES = 192
 
 
-def _pool_width(trials: int, lane_bytes: int) -> int:
-    """Lanes in a pool whose lanes hold `lane_bytes` each: as many as
+def _pool_width(trials: int, lane_bytes: int, shared: int = 0) -> int:
+    """Lanes in a pool whose lanes hold `lane_bytes` each, beside
+    `shared` bytes the walk keeps for all of them: as many as the rest of
     SCRATCH_BYTES holds, but at least one, and no more than `trials`."""
-    return min(trials, max(1, SCRATCH_BYTES // lane_bytes))
+    return min(trials, max(1, (SCRATCH_BYTES - shared) // lane_bytes))
 
 
 def _mulhi(a, b_lo, b_hi):
@@ -464,6 +465,43 @@ def forward_steps(covers: np.ndarray, threshold: int, trials: int, seed: int) ->
     return out
 
 
+def _packed_counts(covers: np.ndarray, spare: list[int]):
+    """The backward walk's counts, packed into W 64-bit words: each
+    row's covers at their techniques' low bits, a lane's starting words
+    and the top bit of every field, as uint64 arrays of shape (m, W),
+    (W,) and (W,).
+
+    A technique with `spare` covers beyond the threshold owns a field of
+    b = bitlen(spare) + 1 bits that starts at 2^(b-1) + spare, so its
+    top bit stays set until the technique has spare + 1 covers taken
+    away.  Fields fill one word after another in technique order, and
+    one that would straddle two words starts the next.
+    """
+    m, t = covers.shape
+    begin, guard, shift, first = [], [], [], []
+    used = 64
+    for technique, extra in enumerate(spare):
+        bits = extra.bit_length() + 1
+        if used + bits > 64:
+            begin.append(0)
+            guard.append(0)
+            first.append(technique)
+            used = 0
+        begin[-1] |= ((1 << (bits - 1)) + extra) << used
+        guard[-1] |= 1 << (used + bits - 1)
+        shift.append(used)
+        used += bits
+    shift = np.array(shift, dtype=np.uint64)
+    inc = np.empty((m, len(first)), dtype=np.uint64)
+    # One word's columns at a time, so the shifted copy holds at most 64
+    # columns whatever t is.
+    for word, (lo, hi) in enumerate(zip(first, first[1:] + [t])):
+        columns = covers[:, lo:hi].astype(np.uint64)
+        columns <<= shift[lo:hi]
+        np.bitwise_or.reduce(columns, axis=1, out=inc[:, word])
+    return inc, np.array(begin, dtype=np.uint64), np.array(guard, dtype=np.uint64)
+
+
 def backward_steps(covers: np.ndarray, threshold: int, trials: int, seed: int) -> np.ndarray:
     """`forward_steps`, bit for bit, without building whole orders.
 
@@ -474,6 +512,12 @@ def backward_steps(covers: np.ndarray, threshold: int, trials: int, seed: int) -
     than `threshold` of them puts that technique's threshold-th cover,
     and so the campaign's block, at step i + 1.  The trial stops there.
     A trial in which no count drops blocks at step 1.
+
+    A lane keeps its counts in the packed fields of `_packed_counts`; a
+    field's top bit is set exactly while its technique has at least
+    `threshold` covers left.  A placement subtracts its row's packed
+    covers, which takes at most 1 from each field, and the trial stops
+    at the first top bit that clears, so no borrow ever leaves a field.
     """
     m, t = covers.shape
     cover_counts = covers.sum(axis=0)
@@ -482,28 +526,27 @@ def backward_steps(covers: np.ndarray, threshold: int, trials: int, seed: int) -
     out = np.ones(trials, dtype=np.int64)
     if m < 2:
         return out
-    count_type = np.min_scalar_type(-m)
-    cover_rows = covers.astype(count_type)
+    inc, begin, guard = _packed_counts(covers, (cover_counts - threshold).tolist())
+    words = guard.size
     # A lane adds its prefix row, in cells no wider than m needs, its
-    # trial's number and four arrays of t counts: its own, and the three
-    # temporaries `place` makes for it on a hit (`left[slots]`,
-    # `cover_rows[placed]` and `remaining`) with their `< threshold`
-    # mask.  tracemalloc puts a full pool's peak past its output at 0.81
-    # of SCRATCH_BYTES at m = 45, t = 20, 0.79 at m = 100, t = 60 and
-    # 0.97 at m = 257, t = 3; counting the t counts once put it at 0.93,
-    # 1.18 and 1.00.
+    # trial's number and four rows of W words: its own counts, the two
+    # rows `place` gathers for it on a hit (`state[slots]` and
+    # `inc[placed]`) and one for the top-bit test.  The inc table serves
+    # every lane for the whole walk, so its bytes come out of the budget
+    # before the pool is sized.  tracemalloc puts a full pool's peak past
+    # its output at 0.84 of SCRATCH_BYTES at m = 45, t = 20, 0.77 at
+    # m = 100, t = 60, 0.96 at m = 257, t = 3 and 0.96 at m = 1000,
+    # t = 100; leaving the table out of the budget put the last at 1.03.
     cell = np.min_scalar_type(m - 1)
-    width = _pool_width(
-        trials, _LANE_BYTES + cell.itemsize * m + 4 * count_type.itemsize * t + 8
-    )
+    width = _pool_width(trials, _LANE_BYTES + cell.itemsize * m + 4 * 8 * words + 8, inc.nbytes)
     prefix = np.empty((width, m), dtype=cell)
     flat = prefix.reshape(-1)
-    left = np.empty((width, t), dtype=count_type)
+    state = np.empty((width, words), dtype=np.uint64)
     owner = np.empty(width, dtype=np.int64)
 
     def start(slots, lane_trials):
         prefix[slots] = np.arange(m)
-        left[slots] = cover_counts
+        state[slots] = begin
         owner[slots] = lane_trials
         return slots * m
 
@@ -514,9 +557,11 @@ def backward_steps(covers: np.ndarray, threshold: int, trials: int, seed: int) -
         # Position i is final, so only the swap's other half is written.
         placed = flat[pos_j]
         flat[pos_j] = flat[at + i]
-        remaining = left[slots] - cover_rows[placed]
-        left[slots] = remaining
-        over = (remaining < threshold).any(axis=1)
+        counts = state[slots]
+        counts -= inc[placed]
+        state[slots] = counts
+        counts &= guard
+        over = (counts != guard).any(axis=1)
         out[owner[slots[over]]] = i[over] + 1
         return hit[over]
 

@@ -160,7 +160,11 @@ class TestSlottedRecords:
         assert kind(*values.values()) == record
         assert record.__match_args__ == tuple(values)
 
-    @pytest.mark.parametrize("record", RECORDS, ids=repr)
+    # Fixed ids: a record whose repr raises must fail its own test, not
+    # the collection of every test in this module.
+    @pytest.mark.parametrize(
+        "record", RECORDS, ids=["subtechnique", "text-technique", "mitigation", "weight-entry"]
+    )
     def test_copies_and_replace(self, record):
         assert not hasattr(record, "__dict__")
         assert pickle.loads(pickle.dumps(record)) == record

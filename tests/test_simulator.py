@@ -448,8 +448,8 @@ class TestWalks:
     @pytest.mark.parametrize("lanes", [1, 2, 3, 7])
     @settings(max_examples=40, deadline=None)
     @given(
-        m=st.integers(0, 10),
-        t=st.integers(0, 3),
+        m=st.integers(0, 24),
+        t=st.integers(0, 24),
         trials=st.integers(0, 20),
         threshold=st.integers(1, 3),
         seed=st.one_of(st.sampled_from([0, MAX_SEED]), st.integers(0, MAX_SEED)),
@@ -459,9 +459,13 @@ class TestWalks:
     @example(m=2, t=2, trials=9, threshold=1, seed=MAX_SEED, data=None)
     @example(m=2, t=1, trials=9, threshold=2, seed=0, data=None)
     @example(m=6, t=2, trials=11, threshold=3, seed=MAX_SEED, data=None)
+    @example(m=20, t=24, trials=9, threshold=1, seed=0, data=None)
     def test_walks_match_oracle(self, lanes, m, t, trials, threshold, seed, data):
         # Small lane pools make trials take over lanes at every point of
-        # a round, and lanes leave the pool once trials run out.
+        # a round, and lanes leave the pool once trials run out.  At
+        # m = 24 a technique covered by half the rows takes five bits of
+        # the backward walk's packed counts, so from t = 13 they take
+        # more than one 64-bit word.
         if data is None:  # explicit examples: every row covers everything
             covers = np.ones((m, t), dtype=np.uint8)
         else:
@@ -496,8 +500,11 @@ class TestWalks:
             with pytest.MonkeyPatch.context() as patch:
                 backward_asked = _pin_width(patch, lanes)
                 assert backward_steps(covers, threshold, trials, seed).tolist() == expected
-            assert simulator._LANE_BYTES in forward_asked or trials == 0
-            assert set(backward_asked) == {_backward_lane_bytes(m, t)} or (
+            # The backward walk's shared bytes are its table of packed
+            # covers, one row of words per mitigation.
+            words = _packed_words(covers, threshold)
+            assert (simulator._LANE_BYTES, 0) in forward_asked or trials == 0
+            assert set(backward_asked) == {(_backward_lane_bytes(m, words), 8 * m * words)} or (
                 trials == 0 and not backward_asked
             )
 
@@ -547,15 +554,18 @@ class TestWalks:
 
     def test_each_walk_sizes_its_own_pool(self):
         # The forward lane holds O(1) state; the backward lane adds its
-        # m one-byte prefix cells, four arrays of t one-byte counts and
-        # its trial number, so at Enterprise size (m = 45, t = 20) its
-        # pool is about three fifths as wide.
+        # m one-byte prefix cells, four rows of W packed 64-bit words and
+        # its trial number.  At Enterprise size (m = 45, t = 20) the
+        # counts fit one word, so its pool is about seven tenths as wide,
+        # less one lane for the 45-row table of packed covers.
         budget = simulator.SCRATCH_BYTES
         forward = simulator._pool_width(10**6, simulator._LANE_BYTES)
-        backward = simulator._pool_width(10**6, _backward_lane_bytes(45, 20))
-        assert _backward_lane_bytes(45, 20) == simulator._LANE_BYTES + 45 + 4 * 20 + 8 == 325
+        backward = simulator._pool_width(10**6, _backward_lane_bytes(45, 1))
+        assert _backward_lane_bytes(45, 1) == simulator._LANE_BYTES + 45 + 4 * 8 + 8 == 277
         assert forward == budget // simulator._LANE_BYTES == 6144
-        assert backward == 3629
+        assert backward == 4258
+        assert simulator._pool_width(10**6, 277, 45 * 8) == 4257
+        assert simulator._pool_width(10**6, 277, budget) == 1
         assert simulator._pool_width(100, simulator._LANE_BYTES) == 100
         assert simulator._pool_width(0, simulator._LANE_BYTES) == 0
         assert simulator._pool_width(5, 2 * budget) == 1
@@ -566,21 +576,25 @@ class TestWalks:
         # the widths are what the lanes really hold.  The 2% is NumPy's
         # constant temporaries, which no lane count covers.  At m = 257
         # the backward walk's prefix cells are two bytes wide; at t = 60
-        # its lanes' counts outweigh their prefix rows.
+        # its counts take four words; at m = 1000, t = 100 they take
+        # twelve, and the 96 kB table of packed covers comes out of the
+        # budget before the pool, 419 lanes, is sized: 500 trials fill it.
         covers = _random_covers(45, 20, seed=2, density=0.08)
         wide = _random_covers(257, 3, seed=2, density=0.05)
         many = _random_covers(100, 60, seed=2, density=0.05)
-        for case in (covers, wide, many):
+        large = _random_covers(1000, 100, seed=2, density=0.05)
+        for case in (covers, wide, many, large):
             case[:2] = 1
         for walk, args in (
-            (trial_orders, (45,)),
-            (backward_steps, (covers, 2)),
-            (backward_steps, (wide, 2)),
-            (backward_steps, (many, 2)),
+            (trial_orders, (45, 12000)),
+            (backward_steps, (covers, 2, 12000)),
+            (backward_steps, (wide, 2, 12000)),
+            (backward_steps, (many, 2, 12000)),
+            (backward_steps, (large, 2, 500)),
         ):
             tracemalloc.start()
             try:
-                out = walk(*args, 12000, 11)
+                out = walk(*args, 11)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -602,6 +616,33 @@ class TestWalks:
         with pytest.MonkeyPatch.context() as patch:
             _pin_width(patch, lanes)
             assert backward_steps(covers, threshold, trials, seed).tolist() == expected
+
+    @pytest.mark.parametrize("lanes", [1, 2, 7])
+    @pytest.mark.parametrize("threshold", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "fields, words",
+        [
+            ([4] * 15 + [1] * 4, 1),  # 64 bits; a one-bit field is bit 63
+            ([1] + [4] * 16, 2),  # 65 bits; the last field opens word 2
+        ],
+    )
+    def test_backward_matches_oracle_at_word_boundaries(self, fields, words, threshold, lanes):
+        # A technique with c covers takes bitlen(c - k) + 1 bits of a
+        # 64-bit word: one bit at c = k, four at k + 4 <= c <= k + 7.
+        # A borrow out of a field, or a field split across two words,
+        # would change some trial's step.
+        m, trials, seed = 24, 9, 100 + threshold
+        rng = np.random.default_rng(threshold)
+        covers = np.zeros((m, len(fields)), dtype=np.uint8)
+        for technique, bits in enumerate(fields):
+            count = threshold if bits == 1 else threshold + 4 + technique % 4
+            covers[rng.choice(m, count, replace=False), technique] = 1
+        expected = _oracle_batch(oracle_trial_orders(m, trials, seed), covers, threshold)
+        assert forward_steps(covers, threshold, trials, seed).tolist() == expected
+        with pytest.MonkeyPatch.context() as patch:
+            asked = _pin_width(patch, lanes)
+            assert backward_steps(covers, threshold, trials, seed).tolist() == expected
+        assert asked == [(_backward_lane_bytes(m, words), 8 * m * words)]
 
     @pytest.mark.parametrize("threshold", [1, 2, 3])
     def test_unblockable_technique_walks_nothing(self, threshold, monkeypatch):
@@ -660,25 +701,39 @@ class TestWalks:
 
 def _pin_width(patch, lanes):
     """Make every lane pool `lanes` wide (or as wide as its trials);
-    returns the bytes per lane each walk asks for, in call order."""
+    returns the bytes per lane and the bytes shared by all lanes that
+    each walk asks for, in call order."""
     asked = []
 
-    def width(trials, lane_bytes):
-        asked.append(lane_bytes)
+    def width(trials, lane_bytes, shared=0):
+        asked.append((lane_bytes, shared))
         return min(trials, lanes)
 
     patch.setattr(simulator, "_pool_width", width)
     return asked
 
 
-def _backward_lane_bytes(m, t):
+def _backward_lane_bytes(m, words):
     """Bytes per lane of the backward walk's pool: the forward lane's
-    state, a prefix row of cells no wider than m needs, four arrays of t
-    counts (the lane's own and `place`'s temporaries) and a trial
-    number."""
+    state, a prefix row of cells no wider than m needs, four rows of
+    `words` 64-bit words (the lane's packed counts and `place`'s
+    temporaries) and a trial number."""
     cell = np.min_scalar_type(m - 1).itemsize
-    count = np.min_scalar_type(-m).itemsize
-    return simulator._LANE_BYTES + cell * m + 4 * count * t + 8
+    return simulator._LANE_BYTES + cell * m + 4 * 8 * words + 8
+
+
+def _packed_words(covers, threshold):
+    """64-bit words that hold the backward walk's counts: a technique
+    with c covers takes bitlen(c - threshold) + 1 bits, the techniques
+    in column order, and a field that would straddle two words starts
+    the next one."""
+    words, used = 0, 64
+    for c in covers.sum(axis=0).tolist():
+        bits = (c - threshold).bit_length() + 1
+        if used + bits > 64:
+            words, used = words + 1, 0
+        used += bits
+    return words
 
 
 def _stream_draws(m, seed, t):
