@@ -9,13 +9,18 @@ fixtures, or loaded from the canonical JSON form written by
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import gc
 import json
+import operator
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import repeat
 from json.encoder import encode_basestring
 from pathlib import Path
+
+import numpy as np
 
 from .errors import CatalogError, ParseError, SchemaVersionError, ValidationError
 
@@ -23,10 +28,25 @@ CATALOG_SCHEMA_VERSION = 1
 
 # ASCII digits only, matched against the whole string: `\d` also takes
 # other scripts' digits and `$` a trailing newline.
-_TECHNIQUE_ID_RE = re.compile(r"T[0-9]{4}(?:\.[0-9]{3})?")
-_MITIGATION_ID_RE = re.compile(r"M[0-9]{4}")
+_TECHNIQUE_ID = r"T[0-9]{4}(?:\.[0-9]{3})?"
+_MITIGATION_ID = r"M[0-9]{4}"
+_TECHNIQUE_ID_RE = re.compile(_TECHNIQUE_ID)
+_MITIGATION_ID_RE = re.compile(_MITIGATION_ID)
 _is_technique_id = _TECHNIQUE_ID_RE.fullmatch
 _is_mitigation_id = _MITIGATION_ID_RE.fullmatch
+# A column of IDs joined by newlines.
+_TECHNIQUE_IDS_RE = re.compile(rf"{_TECHNIQUE_ID}(?:\n{_TECHNIQUE_ID})*")
+_MITIGATION_IDS_RE = re.compile(rf"{_MITIGATION_ID}(?:\n{_MITIGATION_ID})*")
+
+
+def _all_ids(pattern: re.Pattern, ids: list[str]) -> bool:
+    """Whether every str in ``ids`` is a whole ID: ``pattern`` matches
+    them joined by newlines, and there is one newline between each two,
+    so that no string holding a newline passes as two IDs."""
+    if not ids:
+        return True
+    text = "\n".join(ids)
+    return pattern.fullmatch(text) is not None and text.count("\n") == len(ids) - 1
 
 
 def parse_technique_id(value: str) -> str:
@@ -75,57 +95,32 @@ def _check_name(entity_id: str, name) -> None:
         ) from None
 
 
-# Each entity's own __init__ accepts the common case (an exact str ID and
-# an ASCII str name, real bool flags) in one inline test on its
-# arguments, and runs the full checks, which raise the messages, only
-# when that test fails; it then sets the frozen slots directly.
+# Sets a field of a frozen dataclass.
 _set = object.__setattr__
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class Technique:
     id: str
     name: str = ""
     revoked: bool = False
     deprecated: bool = False
 
-    def __init__(
-        self, id: str, name: str = "", revoked: bool = False, deprecated: bool = False
-    ):
-        if not (
-            type(id) is str
-            and _is_technique_id(id)
-            and type(name) is str
-            and name.isascii()
-            and type(revoked) is bool
-            and type(deprecated) is bool
-        ):
-            parse_technique_id(id)
-            _check_name(id, name)
-            _check_type(id, "revoked", revoked, bool)
-            _check_type(id, "deprecated", deprecated, bool)
-        _set(self, "id", id)
-        _set(self, "name", name)
-        _set(self, "revoked", revoked)
-        _set(self, "deprecated", deprecated)
+    def __post_init__(self):
+        parse_technique_id(self.id)
+        _check_name(self.id, self.name)
+        _check_type(self.id, "revoked", self.revoked, bool)
+        _check_type(self.id, "deprecated", self.deprecated, bool)
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class Mitigation:
     id: str
     name: str = ""
 
-    def __init__(self, id: str, name: str = ""):
-        if not (
-            type(id) is str
-            and _is_mitigation_id(id)
-            and type(name) is str
-            and name.isascii()
-        ):
-            parse_mitigation_id(id)
-            _check_name(id, name)
-        _set(self, "id", id)
-        _set(self, "name", name)
+    def __post_init__(self):
+        parse_mitigation_id(self.id)
+        _check_name(self.id, self.name)
 
 
 @dataclass(frozen=True)
@@ -137,97 +132,261 @@ class IngestStats:
     warnings: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+def _sorted_by_id(noun: str, ids: list, *columns: list) -> tuple[tuple, ...]:
+    """``ids`` and each column as tuples, in the order that sorts ``ids``.
+
+    An ID that repeats is a :class:`CatalogError` naming it.  Columns
+    already in strictly ascending order, as a canonical document holds
+    them, are checked in one pass of adjacent pairs and not sorted.
+    """
+    if not all(map(operator.lt, ids, ids[1:])):
+        pick = operator.itemgetter(*sorted(range(len(ids)), key=ids.__getitem__))
+        ids, columns = pick(ids), [pick(column) for column in columns]
+        for first, second in zip(ids, ids[1:]):
+            if first == second:
+                raise CatalogError(f"duplicate {noun} {first} in catalog")
+    return (tuple(ids), *map(tuple, columns))
+
+
+def _columns(rows, width: int) -> list[tuple]:
+    """The ``width`` columns of a collection of rows."""
+    return list(zip(*rows)) or [()] * width
+
+
+def _pair_columns(pairs, error: type[Exception]) -> tuple[tuple, tuple]:
+    """The mitigation and technique columns of mapping pairs.
+
+    A pair is a tuple or list of two strings; the first entry that is
+    not raises ``error`` naming it.  One test over the whole
+    column accepts exact tuples, lists and strs, and the per-pair test
+    runs only when it fails.
+    """
+    if type(pairs) is not list:
+        pairs = list(pairs)
+    if set(map(type, pairs)) <= {tuple, list} and set(map(len, pairs)) <= {2}:
+        mids, tids = _columns(pairs, 2)
+        if set(map(type, mids)) | set(map(type, tids)) <= {str}:
+            return mids, tids
+    for pair in pairs:
+        if not (
+            isinstance(pair, (tuple, list))
+            and len(pair) == 2
+            and all(isinstance(part, str) for part in pair)
+        ):
+            raise error(f"mapping {pair!r} is not a pair of ID strings") from None
+    return _columns(pairs, 2)
+
+
+_technique_row = operator.attrgetter("id", "name", "revoked", "deprecated")
+_mitigation_row = operator.attrgetter("id", "name")
+
+
+def _catalog_columns(techniques, mitigations, mappings) -> list[tuple]:
+    """The columns of a catalog of ``(id, name, revoked, deprecated)``
+    technique rows, ``(id, name)`` mitigation rows and mapping pairs, in
+    any order: the entity columns sorted by ID and the pair columns, in
+    the order of :meth:`Catalog._fill`'s arguments.  A repeated ID, then
+    a malformed pair, is a :class:`CatalogError`."""
+    return [
+        *_sorted_by_id("technique", *_columns(techniques, 4)),
+        *_sorted_by_id("mitigation", *_columns(mitigations, 2)),
+        *_pair_columns(mappings, CatalogError),
+    ]
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class Catalog:
     """Immutable technique/mitigation catalog with referential integrity.
 
-    ``mappings`` holds ``(mitigation_id, technique_id)`` pairs.  The
-    constructor takes the three collections as any iterables, in any
-    order, and stores them as tuples sorted by ID (mappings as pairs),
-    so that equal catalogs compare, hash and serialize identically
-    regardless of ingestion order.
+    A catalog holds columns: ``tids`` (sorted technique IDs) with their
+    ``tnames`` and ``revoked`` / ``deprecated`` flags, ``mids`` (sorted
+    mitigation IDs) with their ``mnames``, and each mapping as a
+    mitigation row in ``mids`` (``mapping_rows``) and a technique column
+    in ``tids`` (``mapping_cols``), sorted by (row, column), that is by
+    ``(mitigation_id, technique_id)``.  ``technique_index`` maps each
+    technique ID to its column.
+
+    The constructor takes the records and ``(mitigation_id,
+    technique_id)`` pairs as any iterables, in any order, so equal
+    catalogs compare, hash and serialize identically regardless of
+    ingestion order.  ``techniques``, ``mitigations`` and ``mappings``
+    are record and pair tuples, sorted the same way, built on first read.
     """
 
-    techniques: tuple[Technique, ...]
-    mitigations: tuple[Mitigation, ...]
-    mappings: tuple[tuple[str, str], ...]
-    meta: IngestStats = field(default_factory=IngestStats, compare=False)
+    tids: tuple[str, ...]
+    tnames: tuple[str, ...]
+    revoked: tuple[bool, ...]
+    deprecated: tuple[bool, ...]
+    mids: tuple[str, ...]
+    mnames: tuple[str, ...]
+    mapping_rows: np.ndarray
+    mapping_cols: np.ndarray
+    meta: IngestStats
 
-    def __post_init__(self):
-        techniques = tuple(sorted(self.techniques, key=lambda t: t.id))
-        mitigations = tuple(sorted(self.mitigations, key=lambda m: m.id))
-        pairs = tuple(self.mappings)
-        object.__setattr__(self, "techniques", techniques)
-        object.__setattr__(self, "mitigations", mitigations)
-        # The technique index, built once here and kept out of the dataclass
-        # fields, so equality and hashing still see only the content.
-        by_technique: dict[str, list[str]] = {t.id: [] for t in techniques}
-        known_mids = {m.id for m in mitigations}
-        if len(by_technique) != len(techniques):
-            raise CatalogError("duplicate technique IDs in catalog")
-        if len(known_mids) != len(mitigations):
-            raise CatalogError("duplicate mitigation IDs in catalog")
-        # A mapping that is not a pair of strings fails somewhere in here,
-        # as a raw error or as a bogus ID, and only then are pairs checked.
+    def __init__(
+        self, techniques, mitigations, mappings, meta: IngestStats = IngestStats()
+    ):
+        self._fill(
+            *_catalog_columns(
+                map(_technique_row, techniques), map(_mitigation_row, mitigations), mappings
+            ),
+            meta,
+        )
+
+    @classmethod
+    def _from_columns(cls, *columns) -> Catalog:
+        """A catalog of sorted, checked entity columns and unchecked pair
+        columns, in the order of :meth:`_fill`'s arguments."""
+        catalog = cls.__new__(cls)
+        catalog._fill(*columns)
+        return catalog
+
+    def _fill(
+        self, tids, tnames, revoked, deprecated, mids, mnames, pair_mids, pair_tids, meta
+    ):
+        """Set the columns, turning the pairs into sorted index columns.
+
+        A pair repeated, then an endpoint that is not in the catalog, in
+        sorted pair order, is a :class:`CatalogError`.
+        """
+        column_of = dict(zip(tids, range(len(tids))))
+        row_of = dict(zip(mids, range(len(mids))))
+        count = len(pair_mids)
         try:
-            mappings = tuple(sorted(map(tuple, pairs)))
-            for a, b in zip(mappings, mappings[1:]):
-                if a == b:
-                    raise CatalogError(f"duplicate mapping {a[0]} -> {a[1]} in catalog")
-            for mid, tid in mappings:
-                if mid not in known_mids:
-                    raise CatalogError(f"mapping references unknown mitigation {mid}")
-                if tid not in by_technique:
-                    raise CatalogError(f"mapping references unknown technique {tid}")
-                by_technique[tid].append(mid)
-        except (CatalogError, TypeError, ValueError):
-            for pair in pairs:
-                if not (
-                    isinstance(pair, (tuple, list))
-                    and len(pair) == 2
-                    and all(isinstance(part, str) for part in pair)
-                ):
-                    raise CatalogError(
-                        f"mapping {pair!r} is not a pair of ID strings"
-                    ) from None
-            raise
-        object.__setattr__(self, "mappings", mappings)
-        object.__setattr__(
-            self, "_by_technique", {k: tuple(v) for k, v in by_technique.items()}
+            rows = np.fromiter(map(row_of.__getitem__, pair_mids), np.intp, count)
+            cols = np.fromiter(map(column_of.__getitem__, pair_tids), np.intp, count)
+        except KeyError:
+            _raise_for_pairs(pair_mids, pair_tids, row_of, column_of)
+        codes = rows * len(tids) + cols
+        if not (codes[1:] > codes[:-1]).all():
+            order = np.argsort(codes, kind="stable")
+            codes, rows, cols = codes[order], rows[order], cols[order]
+            repeats = np.flatnonzero(codes[1:] == codes[:-1])
+            if repeats.size:
+                at = repeats[0]
+                raise CatalogError(
+                    f"duplicate mapping {mids[rows[at]]} -> {tids[cols[at]]} in catalog"
+                )
+        rows.flags.writeable = cols.flags.writeable = False
+        for name, value in (
+            ("tids", tids),
+            ("tnames", tnames),
+            ("revoked", revoked),
+            ("deprecated", deprecated),
+            ("mids", mids),
+            ("mnames", mnames),
+            ("mapping_rows", rows),
+            ("mapping_cols", cols),
+            ("meta", meta),
+            ("technique_index", column_of),
+        ):
+            _set(self, name, value)
+
+    def _content(self) -> tuple:
+        return (
+            self.tids,
+            self.tnames,
+            self.revoked,
+            self.deprecated,
+            self.mids,
+            self.mnames,
+            self.mapping_rows.tobytes(),
+            self.mapping_cols.tobytes(),
+        )
+
+    # Content only: ``meta``, ``technique_index`` and the records built
+    # on first read stay out of equality and hashing.
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._content() == other._content()
+
+    def __hash__(self):
+        return hash(self._content())
+
+    @functools.cached_property
+    def techniques(self) -> tuple[Technique, ...]:
+        return tuple(
+            map(Technique, self.tids, self.tnames, self.revoked, self.deprecated)
+        )
+
+    @functools.cached_property
+    def mitigations(self) -> tuple[Mitigation, ...]:
+        return tuple(map(Mitigation, self.mids, self.mnames))
+
+    @functools.cached_property
+    def mappings(self) -> tuple[tuple[str, str], ...]:
+        """``(mitigation_id, technique_id)`` pairs, sorted."""
+        return tuple(
+            zip(
+                map(self.mids.__getitem__, self.mapping_rows.tolist()),
+                map(self.tids.__getitem__, self.mapping_cols.tolist()),
+            )
         )
 
     def technique_ids(self) -> tuple[str, ...]:
-        return tuple(t.id for t in self.techniques)
+        return self.tids
 
     def mitigation_ids(self) -> tuple[str, ...]:
-        return tuple(m.id for m in self.mitigations)
+        return self.mids
 
     def has_technique(self, technique_id: str) -> bool:
-        return technique_id in self._by_technique
+        return technique_id in self.technique_index
+
+    def mappings_to(self, columns) -> tuple[np.ndarray, np.ndarray]:
+        """The mappings to the techniques at ``columns`` of ``tids``.
+
+        Returns each one's mitigation row in ``mids`` and its technique's
+        place in ``columns``, ordered by row.
+        """
+        place = np.full(len(self.tids), -1, dtype=np.intp)
+        place[np.asarray(columns, dtype=np.intp)] = np.arange(len(columns))
+        places = place[self.mapping_cols]
+        hit = places >= 0
+        return self.mapping_rows[hit], places[hit]
 
     def mitigations_for(self, technique_id: str) -> tuple[str, ...]:
         """Mitigation IDs mapped to a technique, sorted."""
-        return self._by_technique.get(technique_id, ())
+        column = self.technique_index.get(technique_id)
+        if column is None:
+            return ()
+        rows, _ = self.mappings_to([column])
+        return tuple(map(self.mids.__getitem__, rows.tolist()))
 
     def mitigation_names(self) -> dict[str, str]:
-        return {m.id: m.name for m in self.mitigations}
+        return dict(zip(self.mids, self.mnames))
+
+
+def _raise_for_pairs(pair_mids, pair_tids, row_of, column_of):
+    """Raise for pairs of which some endpoint is unknown: the first pair
+    repeated, else the first unknown endpoint, in sorted pair order."""
+    pairs = sorted(zip(pair_mids, pair_tids))
+    for first, second in zip(pairs, pairs[1:]):
+        if first == second:
+            raise CatalogError(f"duplicate mapping {first[0]} -> {first[1]} in catalog")
+    for mid, tid in pairs:
+        if mid not in row_of:
+            raise CatalogError(f"mapping references unknown mitigation {mid}")
+        if tid not in column_of:
+            raise CatalogError(f"mapping references unknown technique {tid}")
 
 
 def _fold_subtechniques(techniques, mappings):
-    """Techniques and mappings with every sub-technique folded into its parent.
+    """Technique rows and mappings with every sub-technique folded into
+    its parent.
 
     The parent is ensured present (created with an empty name when the
     source had no parent-level entry) and mappings are re-targeted to
     it, as a set, so duplicates arising from the fold are dropped.  The
     IDs must be valid already: the parent is the part before ".".
     """
-    folded: dict[str, Technique] = {}
-    for tech in techniques:
-        parent_id, dot, _ = tech.id.partition(".")
+    folded: dict[str, tuple] = {}
+    for row in techniques:
+        parent_id, dot, _ = row[0].partition(".")
         if not dot:
-            folded[tech.id] = tech  # replaces a stand-in made below
+            folded[parent_id] = row  # replaces a stand-in made below
         elif parent_id not in folded:
-            folded[parent_id] = Technique(id=parent_id)
+            folded[parent_id] = (parent_id, "", False, False)
     return folded.values(), {(mid, tid.partition(".")[0]) for mid, tid in mappings}
 
 
@@ -236,8 +395,14 @@ def collapse_subtechniques(catalog: Catalog) -> Catalog:
 
     Collapsing an already collapsed catalog is a no-op.
     """
-    techniques, mappings = _fold_subtechniques(catalog.techniques, catalog.mappings)
-    return Catalog(techniques, catalog.mitigations, mappings, meta=catalog.meta)
+    techniques, mappings = _fold_subtechniques(
+        zip(catalog.tids, catalog.tnames, catalog.revoked, catalog.deprecated),
+        catalog.mappings,
+    )
+    mitigations = zip(catalog.mids, catalog.mnames)
+    return Catalog._from_columns(
+        *_catalog_columns(techniques, mitigations, mappings), catalog.meta
+    )
 
 
 def _collector_paused(func):
@@ -327,11 +492,11 @@ def _ref(rel: dict, prop: str, index: int) -> str | None:
     return ref
 
 
-def _first_by_id(entities):
-    """The first entity of each ID."""
+def _first_by_id(rows):
+    """The first row of each ID."""
     by_id = {}
-    for entity in entities:
-        by_id.setdefault(entity.id, entity)
+    for row in rows:
+        by_id.setdefault(row[0], row)
     return by_id.values()
 
 
@@ -366,16 +531,17 @@ def parse_stix_bundle(
     if not isinstance(objects, list):
         raise ParseError("not a STIX bundle: 'objects' must be an array")
 
-    techniques: dict[str, Technique] = {}  # stix id -> entity
-    mitigations: dict[str, Mitigation] = {}
+    # stix id -> (id, name, revoked, deprecated) or (id, name)
+    techniques: dict[str, tuple[str, str, bool, bool]] = {}
+    mitigations: dict[str, tuple[str, str]] = {}
     dropped: set[str] = set()  # stix ids dropped by the revoked/deprecated filter
     mitigates: list[tuple[int, str | None, str | None]] = []  # (index, source, target)
     skipped = 0
     warnings: list[str] = []
 
-    # As in the entities, one inline test accepts the common case (string
-    # endpoints; an ASCII str name and real bool flags), and the helpers,
-    # which raise the messages and record the skips, run only when it fails.
+    # One inline test accepts the common case (string endpoints; an ASCII
+    # str name and real bool flags), and the helpers, which raise the
+    # messages and record the skips, run only when it fails.
     for index, obj in enumerate(objects):
         obj_type = obj.get("type") if isinstance(obj, dict) else None
         if not isinstance(obj_type, str):
@@ -392,9 +558,9 @@ def parse_stix_bundle(
             mitigates.append((index, source, target))
             continue
         if obj_type == "attack-pattern":
-            entities = techniques
+            entities, is_id = techniques, _is_technique_id
         elif obj_type == "course-of-action":
-            entities = mitigations
+            entities, is_id = mitigations, _is_mitigation_id
         else:
             skipped += 1
             continue
@@ -423,15 +589,13 @@ def parse_stix_bundle(
         if (revoked or deprecated) and not include_deprecated:
             dropped.add(stix_id)
             continue
-        # The fields are valid, so the constructor can only reject the ID.
-        try:
-            if entities is techniques:
-                entities[stix_id] = Technique(attack_id, name, revoked, deprecated)
-            else:
-                entities[stix_id] = Mitigation(attack_id, name)
-        except ValidationError:
+        if not (isinstance(attack_id, str) and is_id(attack_id)):
             skipped += 1
             warnings.append(f"object {index}: unrecognized ATT&CK ID {attack_id!r}")
+        elif entities is techniques:
+            entities[stix_id] = (attack_id, name, revoked, deprecated)
+        else:
+            entities[stix_id] = (attack_id, name)
 
     mappings: set[tuple[str, str]] = set()
     dangling = 0
@@ -444,18 +608,16 @@ def parse_stix_bundle(
             dangling += 1
             warnings.append(f"relationship at index {index}: unresolved endpoint")
             continue
-        mappings.add((mitigation.id, technique.id))
+        mappings.add((mitigation[0], technique[0]))
 
     # Distinct STIX objects can carry the same ATT&CK ID (re-released
     # entities); keep the first occurrence of each ID.
     kept = _first_by_id(techniques.values())
     if collapse:
         kept, mappings = _fold_subtechniques(kept, mappings)
-    return Catalog(
-        techniques=kept,
-        mitigations=_first_by_id(mitigations.values()),
-        mappings=mappings,
-        meta=IngestStats(
+    return Catalog._from_columns(
+        *_catalog_columns(kept, _first_by_id(mitigations.values()), mappings),
+        IngestStats(
             skipped_objects=skipped,
             dangling_refs=dangling,
             warnings=tuple(warnings),
@@ -600,19 +762,22 @@ def dumps_catalog(catalog: Catalog) -> bytes:
     sort_keys=True, indent=2, ensure_ascii=False)`` plus a newline.
     """
     q = encode_basestring
+    mids, tids = list(map(q, catalog.mids)), list(map(q, catalog.tids))
     mappings = [
-        f"    [\n      {q(mid)},\n      {q(tid)}\n    ]"
-        for mid, tid in catalog.mappings
+        f"    [\n      {mids[row]},\n      {tids[col]}\n    ]"
+        for row, col in zip(catalog.mapping_rows.tolist(), catalog.mapping_cols.tolist())
     ]
     mitigations = [
-        f'    {{\n      "id": {q(m.id)},\n      "name": {q(m.name)}\n    }}'
-        for m in catalog.mitigations
+        f'    {{\n      "id": {mid},\n      "name": {q(name)}\n    }}'
+        for mid, name in zip(mids, catalog.mnames)
     ]
     techniques = [
-        f'    {{\n      "deprecated": {_json_bool(t.deprecated)},\n'
-        f'      "id": {q(t.id)},\n      "name": {q(t.name)},\n'
-        f'      "revoked": {_json_bool(t.revoked)}\n    }}'
-        for t in catalog.techniques
+        f'    {{\n      "deprecated": {_json_bool(deprecated)},\n'
+        f'      "id": {tid},\n      "name": {q(name)},\n'
+        f'      "revoked": {_json_bool(revoked)}\n    }}'
+        for tid, name, revoked, deprecated in zip(
+            tids, catalog.tnames, catalog.revoked, catalog.deprecated
+        )
     ]
     text = (
         f'{{\n  "mappings": {_json_array(mappings)},\n'
@@ -621,6 +786,39 @@ def dumps_catalog(catalog: Catalog) -> bytes:
         f'  "techniques": {_json_array(techniques)}\n}}\n'
     )
     return text.encode("utf-8")
+
+
+def _entity_columns(entries, kind: type, ids_pattern: re.Pattern) -> list[list]:
+    """The columns (one per field of ``kind``) of a document's entities.
+
+    One test over each whole column accepts the common case: object
+    entries, str IDs that ``ids_pattern`` matches, ASCII str names and
+    bool flags, a field absent taking its default.  When it fails, each entry
+    goes through the constructor of ``kind``, which raises the message
+    for the first bad one, or accepts them all (non-ASCII names, say).
+    """
+    fields = dataclasses.fields(kind)
+    defaults = [(f.name, f.default) for f in fields[1:]]
+    if type(entries) is list and set(map(type, entries)) <= {dict}:
+        ids = list(map(dict.get, entries, repeat("id")))
+        columns = [
+            list(map(dict.get, entries, repeat(name), repeat(default)))
+            for name, default in defaults
+        ]
+        names, *flags = columns
+        if (
+            set(map(type, ids)) <= {str}
+            and _all_ids(ids_pattern, ids)
+            and set(map(type, names)) <= {str}
+            and "".join(names).isascii()
+            and all(set(map(type, flag)) <= {bool} for flag in flags)
+        ):
+            return [ids, *columns]
+    records = [
+        kind(entry["id"], *(entry.get(name, default) for name, default in defaults))
+        for entry in entries
+    ]
+    return [[getattr(record, f.name) for record in records] for f in fields]
 
 
 @_collector_paused
@@ -639,34 +837,22 @@ def loads_catalog(data: bytes | str) -> Catalog:
             f"(expected {CATALOG_SCHEMA_VERSION})"
         )
     try:
-        techniques = [
-            Technique(
-                entry["id"],
-                entry.get("name", ""),
-                entry.get("revoked", False),
-                entry.get("deprecated", False),
-            )
-            for entry in doc.get("techniques", [])
-        ]
-        mitigations = [
-            Mitigation(entry["id"], entry.get("name", ""))
-            for entry in doc.get("mitigations", [])
-        ]
-        # JSON decodes arrays and strings to exactly list and str.
-        mappings = []
-        for pair in doc.get("mappings", []):
-            if type(pair) is list and len(pair) == 2:
-                mid, tid = pair
-                if type(mid) is str and type(tid) is str:
-                    mappings.append((mid, tid))
-                    continue
-            raise ParseError(
-                f"malformed catalog document: mapping {pair!r} "
-                "is not a pair of ID strings"
-            )
+        tids, tnames, revoked, deprecated = _entity_columns(
+            doc.get("techniques", []), Technique, _TECHNIQUE_IDS_RE
+        )
+        mids, mnames = _entity_columns(
+            doc.get("mitigations", []), Mitigation, _MITIGATION_IDS_RE
+        )
+        pair_mids, pair_tids = _pair_columns(doc.get("mappings", []), TypeError)
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed catalog document: {exc}") from exc
-    return Catalog(techniques, mitigations, mappings)
+    return Catalog._from_columns(
+        *_sorted_by_id("technique", tids, tnames, revoked, deprecated),
+        *_sorted_by_id("mitigation", mids, mnames),
+        pair_mids,
+        pair_tids,
+        IngestStats(),
+    )
 
 
 def save_catalog(catalog: Catalog, path: str | Path) -> None:

@@ -69,9 +69,9 @@ def _log_ingest(catalog) -> None:
     log.info(
         "ingested %d techniques, %d mitigations, %d mappings; "
         "skipped %d objects, %d dangling relationships, %d warnings",
-        len(catalog.techniques),
-        len(catalog.mitigations),
-        len(catalog.mappings),
+        len(catalog.tids),
+        len(catalog.mids),
+        len(catalog.mapping_rows),
         meta.skipped_objects,
         meta.dangling_refs,
         len(meta.warnings),

@@ -12,6 +12,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress
 
 import numpy as np
 
@@ -133,18 +134,17 @@ def build_decision_matrix(catalog: Catalog, weights: WeightVector) -> DecisionMa
     no mapped mitigation carry no ranking signal: they are dropped with
     a warning and recorded in ``dropped_techniques``.
     """
-    technique_ids, weight_values, columns, dropped = [], [], [], []
-    for entry in weights.entries:
-        tid = entry.technique_id
-        if not catalog.has_technique(tid):
-            raise CatalogError(f"weighted technique {tid} not present in catalog")
-        column = catalog.mitigations_for(tid)
-        if column:
-            technique_ids.append(tid)
-            weight_values.append(entry.weight)
-            columns.append(column)
-        else:
-            dropped.append(tid)
+    try:
+        columns = np.fromiter(
+            map(catalog.technique_index.__getitem__, weights.tids), np.intp, len(weights)
+        )
+    except KeyError as exc:
+        raise CatalogError(
+            f"weighted technique {exc.args[0]} not present in catalog"
+        ) from None
+    counts = np.bincount(catalog.mapping_cols, minlength=len(catalog.tids))
+    mapped = counts[columns] > 0
+    dropped = tuple(compress(weights.tids, ~mapped))
     if dropped:
         logger.warning(
             "dropping %d technique(s) with no mapped mitigation: %s",
@@ -152,20 +152,19 @@ def build_decision_matrix(catalog: Catalog, weights: WeightVector) -> DecisionMa
             ", ".join(dropped),
         )
 
-    mitigation_ids = tuple(sorted({mid for column in columns for mid in column}))
-    row_of = {mid: i for i, mid in enumerate(mitigation_ids)}
-    coverage = np.zeros((len(mitigation_ids), len(technique_ids)))
-    rows = [row_of[mid] for column in columns for mid in column]
-    cols = np.repeat(np.arange(len(columns)), [len(column) for column in columns])
-    coverage[rows, cols] = 1.0
+    rows, cols = catalog.mappings_to(columns[mapped])
+    present = np.flatnonzero(np.bincount(rows, minlength=len(catalog.mids)))
+    mitigation_ids = tuple(map(catalog.mids.__getitem__, present.tolist()))
+    coverage = np.zeros((present.size, int(mapped.sum())))
+    coverage[np.searchsorted(present, rows), cols] = 1.0
     coverage /= coverage.sum(axis=0)
 
     return DecisionMatrix(
         mitigation_ids=mitigation_ids,
-        technique_ids=tuple(technique_ids),
+        technique_ids=tuple(compress(weights.tids, mapped)),
         coverage=coverage,
-        weights=np.asarray(weight_values, dtype=float),
-        dropped_techniques=tuple(dropped),
+        weights=np.asarray(weights.values, dtype=float)[mapped],
+        dropped_techniques=dropped,
         provenance=Provenance(catalog, weights),
     )
 

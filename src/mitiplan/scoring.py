@@ -8,17 +8,20 @@ weights (see the README recipe).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
 from .catalog import (
+    _TECHNIQUE_IDS_RE,
+    _all_ids,
     _check_name,
     _collector_paused,
     _csv_field,
-    _is_technique_id,
     _read_rows,
     _set,
     parse_technique_id,
@@ -26,7 +29,7 @@ from .catalog import (
 from .errors import ParseError, ValidationError
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class WeightEntry:
     """One technique's weight.  The ID and name are checked here, as the
     catalog entities check theirs; the weight is checked by
@@ -36,67 +39,125 @@ class WeightEntry:
     weight: float
     name: str = ""
 
-    def __init__(self, technique_id: str, weight: float, name: str = ""):
-        if not (
-            type(technique_id) is str
-            and _is_technique_id(technique_id)
-            and type(name) is str
-            and name.isascii()
-        ):
-            parse_technique_id(technique_id)
-            _check_name(technique_id, name)
-        _set(self, "technique_id", technique_id)
-        _set(self, "weight", weight)
-        _set(self, "name", name)
+    def __post_init__(self):
+        parse_technique_id(self.technique_id)
+        _check_name(self.technique_id, self.name)
 
 
-@dataclass(frozen=True)
+def _is_real(weight) -> bool:
+    return not isinstance(weight, bool) and isinstance(weight, numbers.Real)
+
+
+def _as_float(weight) -> float:
+    """A real weight as a float (inf when too large for one); NaN, which
+    no weight check passes, for anything else."""
+    if not _is_real(weight):
+        return math.nan
+    try:
+        return float(weight)
+    except OverflowError:
+        return math.inf
+
+
+def _first_bad_weight(tids, weights, names) -> int | None:
+    """Index of the first entry whose weight is not finite and positive,
+    whose ID or name :class:`WeightEntry` rejects, or whose ID an earlier
+    entry holds; None when every entry passes.
+
+    One test over the whole columns accepts the common case; the entries
+    are walked one by one only when it fails.  A sum that is finite has
+    no NaN or infinite term, so the minimum then tells the sign.
+    """
+    if (
+        set(map(type, tids)) <= {str}
+        and _all_ids(_TECHNIQUE_IDS_RE, tids)
+        and set(map(type, names)) <= {str}
+        and "".join(names).isascii()
+        and (not weights or (math.isfinite(sum(weights)) and min(weights) > 0))
+        and len(set(tids)) == len(tids)
+    ):
+        return None
+    seen = set()
+    for index, (tid, weight, name) in enumerate(zip(tids, weights, names)):
+        if not 0 < weight < math.inf or tid in seen:
+            return index
+        try:
+            WeightEntry(tid, weight, name)
+        except ValidationError:
+            return index
+        seen.add(tid)
+    return None
+
+
+@dataclass(frozen=True, init=False)
 class WeightVector:
     """Per-technique importance weights, descending by weight.
 
     Weights are strictly positive and deliberately not normalized:
     weighted-sum ranking is invariant to positive scaling, so raw scores
-    are used as-is.  The constructor takes the entries as any iterable,
-    in any order, and stores them as a tuple sorted descending by weight,
-    ties by ascending technique ID, with each weight as a float.
+    are used as-is.  The vector holds three columns, ``tids``, ``values``
+    (floats) and ``names``, sorted descending by weight, ties by
+    ascending technique ID.  The constructor takes :class:`WeightEntry`
+    records as any iterable, in any order; ``entries`` builds them back,
+    in the vector's order, on first read.
     """
 
-    entries: tuple[WeightEntry, ...]
+    tids: tuple[str, ...]
+    values: tuple[float, ...]
+    names: tuple[str, ...]
 
-    def __post_init__(self):
-        entries = []
-        seen = set()
-        for entry in self.entries:
-            tid, weight = entry.technique_id, entry.weight
-            if type(weight) is not float:
-                if isinstance(weight, bool) or not isinstance(weight, numbers.Real):
-                    raise ValidationError(
-                        f"weight for {tid} must be a real number, got {weight!r}"
-                    )
-                try:
-                    weight = float(weight)
-                except OverflowError:
-                    weight = math.inf
-                entry = WeightEntry(tid, weight, entry.name)
+    def __init__(self, entries):
+        entries = list(entries)
+        tids = [e.technique_id for e in entries]
+        given = [e.weight for e in entries]
+        names = [e.name for e in entries]
+        weights = list(map(_as_float, given))
+        bad = _first_bad_weight(tids, weights, names)
+        if bad is not None:
+            tid, weight = tids[bad], weights[bad]
+            if not _is_real(given[bad]):
+                raise ValidationError(
+                    f"weight for {tid} must be a real number, got {given[bad]!r}"
+                )
             if not 0 < weight < math.inf:
                 raise ValidationError(
                     f"weight for {tid} must be finite and positive, got {weight}"
                 )
-            if tid in seen:
-                raise ValidationError(f"duplicate technique {tid}")
-            seen.add(tid)
-            entries.append(entry)
-        entries.sort(key=lambda e: (-e.weight, e.technique_id))
-        object.__setattr__(self, "entries", tuple(entries))
+            raise ValidationError(f"duplicate technique {tid}")
+        self._fill(tids, weights, names)
+
+    @classmethod
+    def _from_columns(cls, tids, weights, names) -> WeightVector:
+        vector = cls.__new__(cls)
+        vector._fill(tids, weights, names)
+        return vector
+
+    def _fill(self, tids, weights, names):
+        """Set the checked columns, sorted descending by weight, ties by ID.
+
+        Columns already in that order, as a rendered CSV holds them, are
+        checked in one pass of adjacent keys and not sorted.
+        """
+        keys = list(zip(map(operator.neg, weights), tids))
+        columns = (tids, weights, names)
+        if not all(map(operator.lt, keys, keys[1:])):
+            pick = operator.itemgetter(*sorted(range(len(keys)), key=keys.__getitem__))
+            columns = map(pick, columns)
+        for name, column in zip(("tids", "values", "names"), columns):
+            _set(self, name, tuple(column))
+
+    @functools.cached_property
+    def entries(self) -> tuple[WeightEntry, ...]:
+        return tuple(map(WeightEntry, self.tids, self.values, self.names))
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.tids)
 
     def technique_ids(self) -> tuple[str, ...]:
-        return tuple(e.technique_id for e in self.entries)
+        return self.tids
 
     def weights(self) -> tuple[float, ...]:
-        return tuple(e.weight for e in self.entries)
+        return self.values
 
 
 WEIGHTS_CSV_HEADER = "no,score,tid,name"
@@ -111,33 +172,44 @@ def load_weights(data: bytes | str) -> WeightVector:
     technique IDs, and duplicate techniques raise errors citing the data
     row number, counting blank rows.  A leading byte-order mark is ignored.
     """
-    entries = []
-    seen = set()
-    for rownum, row in _read_rows(data, "weights CSV", WEIGHTS_CSV_HEADER):
-        if len(row) != 4:
-            raise ParseError(f"weights CSV row {rownum}: expected 4 columns")
-        _, score_text, tid, name = row
-        tid = tid.strip()
-        try:
-            score = float(score_text)
-        except ValueError as exc:
+    rows = _read_rows(data, "weights CSV", WEIGHTS_CSV_HEADER)
+    cells = [row for _, row in rows]
+    unreadable = None
+    try:
+        if set(map(len, cells)) - {4}:
+            raise ValueError
+        scores = list(map(float, [row[1] for row in cells]))
+    except ValueError:
+        # Read up to the first row that is not four cells with a number
+        # for a score; the rows before it are checked first.
+        for end, row in enumerate(cells):
+            if len(row) != 4:
+                unreadable = "expected 4 columns"
+                break
+            try:
+                float(row[1])
+            except ValueError:
+                unreadable = f"bad score {row[1]!r}"
+                break
+        cells = cells[:end]
+        scores = [float(row[1]) for row in cells]
+    tids = [row[2].strip() for row in cells]
+    names = [row[3] for row in cells]
+    bad = _first_bad_weight(tids, scores, names)
+    if bad is not None:
+        where = f"weights CSV row {rows[bad][0]}"
+        if not 0 < scores[bad] < math.inf:
             raise ParseError(
-                f"weights CSV row {rownum}: bad score {score_text!r}"
-            ) from exc
-        if not 0 < score < math.inf:
-            raise ParseError(
-                f"weights CSV row {rownum}: score must be finite and positive, "
-                f"got {score}"
+                f"{where}: score must be finite and positive, got {scores[bad]}"
             )
         try:
-            entry = WeightEntry(tid, score, name)
+            WeightEntry(tids[bad], scores[bad], names[bad])
         except ValidationError as exc:
-            raise ParseError(f"weights CSV row {rownum}: {exc}") from exc
-        if tid in seen:
-            raise ParseError(f"weights CSV row {rownum}: duplicate technique {tid}")
-        seen.add(tid)
-        entries.append(entry)
-    return WeightVector(entries)
+            raise ParseError(f"{where}: {exc}") from exc
+        raise ParseError(f"{where}: duplicate technique {tids[bad]}")
+    if unreadable is not None:
+        raise ParseError(f"weights CSV row {rows[len(cells)][0]}: {unreadable}")
+    return WeightVector._from_columns(tids, scores, names)
 
 
 def render_weights_csv(weights: WeightVector) -> bytes:
@@ -147,10 +219,10 @@ def render_weights_csv(weights: WeightVector) -> bytes:
     and a checked technique ID.
     """
     lines = [WEIGHTS_CSV_HEADER + "\n"]
-    for position, entry in enumerate(weights.entries, start=1):
-        lines.append(
-            f"{position},{entry.weight!r},{entry.technique_id},{_csv_field(entry.name)}\n"
-        )
+    for position, (tid, weight, name) in enumerate(
+        zip(weights.tids, weights.values, weights.names), start=1
+    ):
+        lines.append(f"{position},{weight!r},{tid},{_csv_field(name)}\n")
     return "".join(lines).encode("utf-8")
 
 

@@ -240,12 +240,9 @@ def simulate_campaign(plan, catalog: Catalog, campaign: Campaign) -> SimulationR
 
 
 def _cover_matrix(catalog: Catalog, resolved: tuple[str, ...]) -> np.ndarray:
-    mids = catalog.mitigation_ids()
-    row_of = {mid: i for i, mid in enumerate(mids)}
-    covers = np.zeros((len(mids), len(resolved)), dtype=np.uint8)
-    for j, tid in enumerate(resolved):
-        for mid in catalog.mitigations_for(tid):
-            covers[row_of[mid], j] = 1
+    rows, cols = catalog.mappings_to([catalog.technique_index[tid] for tid in resolved])
+    covers = np.zeros((len(catalog.mids), len(resolved)), dtype=np.uint8)
+    covers[rows, cols] = 1
     return covers
 
 

@@ -14,8 +14,10 @@ from mitiplan.catalog import (
     Mitigation,
     Technique,
     catalog_sha256,
+    collapse_subtechniques,
     dumps_catalog,
     loads_catalog,
+    parse_stix_bundle,
 )
 from mitiplan.fixtures import paper_v13_catalog, paper_v13_weights
 from mitiplan.matrix import build_decision_matrix
@@ -75,6 +77,74 @@ def test_catalog_canonical_whatever_the_order(parts, data):
     assert dumps_catalog(shuffled) == dumps_catalog(sorted_catalog)
     assert catalog_sha256(shuffled) == catalog_sha256(sorted_catalog)
     assert loads_catalog(dumps_catalog(shuffled)) == shuffled
+
+
+def _stix_bundle(techniques, mitigations, mappings):
+    """A bundle that ingests, uncollapsed and with deprecated entities
+    kept, to exactly these parts."""
+
+    def entity(kind, record, **flags):
+        refs = [{"source_name": "mitre-attack", "external_id": record.id}]
+        return {"type": kind, "id": f"{kind}--{record.id}", "name": record.name,
+                "external_references": refs, **flags}
+
+    objects = [
+        entity("attack-pattern", t, revoked=t.revoked, x_mitre_deprecated=t.deprecated)
+        for t in techniques
+    ]
+    objects += [entity("course-of-action", m) for m in mitigations]
+    objects += [
+        {"type": "relationship", "relationship_type": "mitigates",
+         "source_ref": f"course-of-action--{mid}", "target_ref": f"attack-pattern--{tid}"}
+        for mid, tid in mappings
+    ]
+    return {"type": "bundle", "objects": objects}
+
+
+def _folded(techniques, mappings):
+    """Sub-techniques folded into their parents, written out plainly."""
+    parents = {t.id: t for t in techniques if "." not in t.id}
+    for t in techniques:
+        parents.setdefault(t.id.split(".")[0], Technique(t.id.split(".")[0]))
+    return list(parents.values()), {(mid, tid.split(".")[0]) for mid, tid in mappings}
+
+
+@settings(max_examples=200, deadline=None)
+@given(parts=_catalog_parts(), data=st.data())
+def test_every_construction_route_gives_the_same_catalog(parts, data):
+    techniques, mitigations, mappings = parts
+    # The records each route reads back are the tuples of sorted records.
+    expected = (
+        tuple(sorted(techniques, key=lambda t: t.id)),
+        tuple(sorted(mitigations, key=lambda m: m.id)),
+        tuple(sorted(mappings)),
+    )
+    catalog = Catalog(
+        _shuffled(data.draw, techniques),
+        _shuffled(data.draw, mitigations),
+        _shuffled(data.draw, mappings, pair_lists=True),
+    )
+    bundle = _stix_bundle(*(data.draw(st.permutations(part)) for part in parts))
+    routes = [
+        catalog,
+        loads_catalog(dumps_catalog(catalog)),
+        parse_stix_bundle(bundle, collapse=False, include_deprecated=True),
+    ]
+    for built in routes:
+        assert built == catalog and hash(built) == hash(catalog)
+        assert (built.techniques, built.mitigations, built.mappings) == expected
+        assert dumps_catalog(built) == dumps_catalog(catalog)
+
+    folded_techniques, folded_mappings = _folded(techniques, mappings)
+    folded = Catalog(folded_techniques, mitigations, folded_mappings)
+    collapsed = [
+        collapse_subtechniques(route) for route in routes
+    ] + [parse_stix_bundle(bundle, include_deprecated=True)]
+    for built in collapsed:
+        assert built == folded and hash(built) == hash(folded)
+        assert built.techniques == tuple(sorted(folded_techniques, key=lambda t: t.id))
+        assert built.mappings == tuple(sorted(folded_mappings))
+        assert dumps_catalog(built) == dumps_catalog(folded)
 
 
 @settings(max_examples=200, deadline=None)

@@ -548,6 +548,20 @@ class TestRank:
         mid, tid = doc["mappings"][0]
         assert captured.err == f"error: duplicate mapping {mid} -> {tid} in catalog\n"
 
+    @pytest.mark.parametrize(
+        "part, noun", [("techniques", "technique"), ("mitigations", "mitigation")]
+    )
+    def test_duplicate_entity_named_exits_1(self, fixture_dir, capsys, part, noun):
+        path = fixture_dir / "paper_v13_catalog.json"
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        again = dict(doc[part][2], name="another name")
+        doc[part].insert(0, again)
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert run(_rank_args(fixture_dir, "--out", "-")) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: duplicate {noun} {again['id']} in catalog\n"
+
     def test_missing_catalog_file(self, fixture_dir, tmp_path, capsys):
         code = run(
             [

@@ -22,6 +22,7 @@ from oracles import oracle_dumps_catalog
 
 from mitiplan.catalog import (
     Catalog,
+    IngestStats,
     Mitigation,
     Technique,
     dumps_catalog,
@@ -189,14 +190,35 @@ def test_index_lookups_equal_scan(enterprise, v13_catalog):
 
 def test_indexes_stay_out_of_equality_and_hash(enterprise):
     catalog = enterprise[0]
+    # The content is the columns; the technique index, the records built
+    # on first read and the ingest statistics are not fields.
     assert [f.name for f in dataclasses.fields(Catalog)] == [
-        "techniques",
-        "mitigations",
-        "mappings",
+        "tids",
+        "tnames",
+        "revoked",
+        "deprecated",
+        "mids",
+        "mnames",
+        "mapping_rows",
+        "mapping_cols",
         "meta",
     ]
     copy = loads_catalog(dumps_catalog(catalog))
+    assert not {"techniques", "mitigations", "mappings"} & set(vars(copy))
+    for built in (catalog.techniques, catalog.mitigations, catalog.mappings):
+        assert built
+    assert {"techniques", "mitigations", "mappings"} <= set(vars(catalog))
     assert copy == catalog and hash(copy) == hash(catalog)
+    with_meta = Catalog(
+        catalog.techniques,
+        catalog.mitigations,
+        catalog.mappings,
+        meta=IngestStats(skipped_objects=3, dangling_refs=1, warnings=("w",)),
+    )
+    assert with_meta == copy and hash(with_meta) == hash(copy)
+    # The index is derived from the content, not kept beside it.
+    assert copy.technique_index == catalog.technique_index
+    assert list(copy.technique_index) == list(copy.tids)
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,8 +1,10 @@
 """The checks a loaded entity and a loaded CSV go through.
 
-Entities accept the common case in one inline test and fall back to the
-full checks to raise; these tests hold the two paths to the same
-verdicts and messages.  CSV reading is strict about quoted cells.
+Records run the full checks.  The catalog and weights loaders accept
+the common case in one test over each whole column and fall back to the
+records' checks to raise; these tests hold the column tests to the same
+verdicts and messages as the records.  CSV reading is strict about
+quoted cells.
 """
 
 from __future__ import annotations
@@ -10,26 +12,42 @@ from __future__ import annotations
 import copy
 import csv
 import dataclasses
+import functools
 import io
+import json
+import math
 import pickle
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import enterprise_catalog_and_weights
+from oracles import oracle_dumps_catalog
+
 from mitiplan.catalog import (
+    Catalog,
     Mitigation,
     Technique,
     _check_name,
     _check_type,
     _csv_field,
     _read_rows,
+    dumps_catalog,
+    loads_catalog,
     parse_mapping_csv,
     parse_mitigation_id,
     parse_technique_id,
 )
-from mitiplan.errors import ParseError, ValidationError
-from mitiplan.scoring import WeightEntry, load_weights
+from mitiplan.errors import MitiplanError, ParseError, ValidationError
+from mitiplan.fixtures import paper_v13_catalog, paper_v13_weights
+from mitiplan.scoring import (
+    WEIGHTS_CSV_HEADER,
+    WeightEntry,
+    WeightVector,
+    load_weights,
+    render_weights_csv,
+)
 
 
 class Text(str):
@@ -265,3 +283,207 @@ class TestBlankRows:
             if row and any(cell.strip() for cell in row)
         ]
         assert _read_rows(data, "test CSV", "h") == expected
+
+
+# Whole documents: valid paper and Enterprise-size inputs with one entry
+# mutated, loaded by the column checks and by an oracle that builds
+# every record through its constructor, as the loaders did before.
+
+
+@functools.cache
+def _valid_inputs():
+    enterprise = enterprise_catalog_and_weights()
+    pairs = [(paper_v13_catalog(), paper_v13_weights()), enterprise]
+    return [
+        (dumps_catalog(c).decode("utf-8"), render_weights_csv(w).decode("utf-8"))
+        for c, w in pairs
+    ]
+
+
+def _outcome(load, dump, data):
+    """The loaded object and its bytes, or the error's type and message."""
+    try:
+        loaded = load(data)
+    except MitiplanError as exc:
+        return None, (type(exc).__name__, str(exc))
+    return loaded, dump(loaded)
+
+
+def _oracle_loads_catalog(text):
+    doc = json.loads(text)
+    try:
+        techniques = [
+            Technique(
+                entry["id"],
+                entry.get("name", ""),
+                entry.get("revoked", False),
+                entry.get("deprecated", False),
+            )
+            for entry in doc.get("techniques", [])
+        ]
+        mitigations = [
+            Mitigation(entry["id"], entry.get("name", ""))
+            for entry in doc.get("mitigations", [])
+        ]
+        for pair in doc.get("mappings", []):
+            if not (type(pair) is list and len(pair) == 2 and {type(p) for p in pair} == {str}):
+                raise ParseError(
+                    f"malformed catalog document: mapping {pair!r} "
+                    "is not a pair of ID strings"
+                )
+    except (KeyError, TypeError) as exc:
+        raise ParseError(f"malformed catalog document: {exc}") from exc
+    return Catalog(techniques, mitigations, doc.get("mappings", []))
+
+
+def _oracle_load_weights(text):
+    entries, seen = [], set()
+    for rownum, row in _read_rows(text, "weights CSV", WEIGHTS_CSV_HEADER):
+        where = f"weights CSV row {rownum}"
+        if len(row) != 4:
+            raise ParseError(f"{where}: expected 4 columns")
+        _, score_text, tid, name = row
+        tid = tid.strip()
+        try:
+            score = float(score_text)
+        except ValueError:
+            raise ParseError(f"{where}: bad score {score_text!r}") from None
+        if not 0 < score < math.inf:
+            raise ParseError(f"{where}: score must be finite and positive, got {score}")
+        try:
+            entry = WeightEntry(tid, score, name)
+        except ValidationError as exc:
+            raise ParseError(f"{where}: {exc}") from None
+        if tid in seen:
+            raise ParseError(f"{where}: duplicate technique {tid}")
+        seen.add(tid)
+        entries.append(entry)
+    return WeightVector(entries), entries
+
+
+# Values a mutated field or cell takes: IDs with a trailing newline or
+# Arabic-Indic digits, two IDs joined by a newline, IDs of the other kind
+# or repeated, unknown IDs, non-ASCII and lone-surrogate names, and
+# values of the wrong type.
+_IDS = [
+    "T1053\n", "T1053\nT1059", "M1026\nM1047", "T\u0661\u0660\u0665\u0663",
+    "M\u0661\u0660\u0662\u0666", "T1053.05", "M1026 ", "T1053", "T1059", "M1026",
+    "M1047", "T9999", "M9999", "",
+]
+_NAMES = ["Tâche", "x\ud800", "\udfff", "計画", "a,b", 'say "hi"', ""]
+_WRONG_TYPES = [None, 7, 1.5, True, False, 0, 1, "yes", [], {}, ["T1053"]]
+_VALUES = st.sampled_from(_IDS + _NAMES + _WRONG_TYPES)
+
+
+@st.composite
+def _catalog_document(draw):
+    text, _ = draw(st.sampled_from(_valid_inputs()))
+    doc = json.loads(text)
+    part = draw(st.sampled_from(["techniques", "mitigations", "mappings"]))
+    entries = doc[part]
+    at = draw(st.integers(0, len(entries) - 1))
+    other = entries[draw(st.integers(0, len(entries) - 1))]
+    change = draw(
+        st.sampled_from(["id", "id", "value", "drop", "repeat", "copy", "shuffle", "entry"])
+    )
+    if change == "shuffle":
+        entries[:] = draw(st.permutations(entries))
+    elif change == "copy":
+        entries.insert(at, copy.deepcopy(other))
+    elif change == "entry":
+        entries[at] = draw(st.sampled_from([5, "x", None, [], {}, ["M1026"],
+                                            ["M1026", "T1053", "x"], [7, "T1053"]]))
+    elif change == "repeat":
+        if part == "mappings":
+            entries[at] = list(other)
+        else:
+            entries[at]["id"] = other["id"]
+    else:
+        if part == "mappings":
+            key = draw(st.integers(0, 1))
+        elif change == "id":
+            key = "id"
+        else:
+            key = draw(st.sampled_from(sorted(entries[at])))
+        if change == "drop":
+            del entries[at][key]
+        else:
+            entries[at][key] = draw(st.sampled_from(_IDS) if change == "id" else _VALUES)
+    return json.dumps(doc, ensure_ascii=draw(st.booleans()))
+
+
+def _weights_text(rows):
+    return WEIGHTS_CSV_HEADER + "\n" + "".join(
+        ",".join(map(_csv_field, row)) + "\n" for row in rows
+    )
+
+
+@st.composite
+def _weights_csv(draw):
+    _, text = draw(st.sampled_from(_valid_inputs()))
+    rows = [row for _, row in _read_rows(text, "weights CSV", WEIGHTS_CSV_HEADER)]
+    at = draw(st.integers(0, len(rows) - 1))
+    change = draw(st.sampled_from(["score", "tid", "name", "repeat", "cells", "shuffle"]))
+    if change == "score":
+        scores = ["0", "-1", "inf", "nan", "abc", "1e400", "", " 2.5", "1_0"]
+        rows[at][1] = draw(st.sampled_from(scores))
+    elif change in ("tid", "name"):
+        cell = draw(st.sampled_from(_IDS + _NAMES + [" T1053 "]))
+        rows[at][2 if change == "tid" else 3] = cell
+    elif change == "repeat":
+        rows[at][2] = rows[draw(st.integers(0, len(rows) - 1))][2]
+    elif change == "cells":
+        rows[at] = draw(st.sampled_from([rows[at][:2], rows[at][:3], rows[at] + ["x"]]))
+    else:
+        rows = draw(st.permutations(rows))
+    blank = st.sampled_from([[""], [" ", "\t"], ["", "", "", ""]])
+    for _ in range(draw(st.integers(0, 3))):
+        rows.insert(draw(st.integers(0, len(rows))), draw(blank))
+    return _weights_text(rows)
+
+
+def _paper_document(part, at, key, value):
+    doc = json.loads(dumps_catalog(paper_v13_catalog()))
+    doc[part][at][key] = value
+    return json.dumps(doc)
+
+
+def _paper_weights(at, tid):
+    text = render_weights_csv(paper_v13_weights()).decode("utf-8")
+    rows = [row for _, row in _read_rows(text, "weights CSV", WEIGHTS_CSV_HEADER)]
+    rows[at][2] = tid
+    return _weights_text(rows)
+
+
+class TestLoadersAgreeWithRecordChecks:
+    # Two valid IDs joined by a newline pass the pattern over the joined
+    # column, and only the newline count rejects them.
+    @example(text=_paper_document("techniques", 3, "id", "T1053\nT1059"))
+    @example(text=_paper_document("mitigations", 3, "id", "M1026\nM1047"))
+    @settings(max_examples=200, deadline=None)
+    @given(text=_catalog_document())
+    def test_loads_catalog(self, text):
+        loaded, got = _outcome(loads_catalog, dumps_catalog, text)
+        oracle, expected = _outcome(_oracle_loads_catalog, oracle_dumps_catalog, text)
+        assert got == expected
+        if oracle is not None:
+            assert loaded == oracle and hash(loaded) == hash(oracle)
+            assert loaded.techniques == oracle.techniques
+            assert loaded.mitigations == oracle.mitigations
+            assert loaded.mappings == tuple(sorted(map(tuple, json.loads(text)["mappings"])))
+
+    @example(text=_paper_weights(3, "T1053\nT1059"))
+    @settings(max_examples=200, deadline=None)
+    @given(text=_weights_csv())
+    def test_load_weights(self, text):
+        loaded, got = _outcome(load_weights, render_weights_csv, text)
+        oracle, expected = _outcome(
+            lambda data: _oracle_load_weights(data)[0], render_weights_csv, text
+        )
+        assert got == expected
+        if oracle is not None:
+            entries = _oracle_load_weights(text)[1]
+            assert loaded == oracle and hash(loaded) == hash(oracle)
+            assert loaded.entries == tuple(
+                sorted(entries, key=lambda e: (-e.weight, e.technique_id))
+            )
