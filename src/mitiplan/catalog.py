@@ -16,7 +16,7 @@ import json
 import operator
 import re
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import compress, repeat
 from json.encoder import encode_basestring
 from pathlib import Path
 
@@ -39,14 +39,21 @@ _TECHNIQUE_IDS_RE = re.compile(rf"{_TECHNIQUE_ID}(?:\n{_TECHNIQUE_ID})*")
 _MITIGATION_IDS_RE = re.compile(rf"{_MITIGATION_ID}(?:\n{_MITIGATION_ID})*")
 
 
-def _all_ids(pattern: re.Pattern, ids: list[str]) -> bool:
-    """Whether every str in ``ids`` is a whole ID: ``pattern`` matches
-    them joined by newlines, and there is one newline between each two,
-    so that no string holding a newline passes as two IDs."""
-    if not ids:
-        return True
+def _plain_columns(ids, names, *flags, ids_re: re.Pattern = _TECHNIQUE_IDS_RE) -> bool:
+    """Whether whole entity columns pass the one-step test: str IDs that
+    ``ids_re`` matches joined by newlines, with one newline between each
+    two (so no string holding a newline passes as two IDs), ASCII str
+    names and bool flags.  Columns that fail may still be valid (a
+    non-ASCII name, say); the record constructors then decide."""
+    if not set(map(type, ids)) | set(map(type, names)) <= {str}:
+        return False
     text = "\n".join(ids)
-    return pattern.fullmatch(text) is not None and text.count("\n") == len(ids) - 1
+    whole = ids_re.fullmatch(text) is not None and text.count("\n") == len(ids) - 1
+    return (
+        (whole or not ids)
+        and "".join(names).isascii()
+        and all(set(map(type, flag)) <= {bool} for flag in flags)
+    )
 
 
 def parse_technique_id(value: str) -> str:
@@ -204,7 +211,8 @@ class Catalog:
     mitigation row in ``mids`` (``mapping_rows``) and a technique column
     in ``tids`` (``mapping_cols``), sorted by (row, column), that is by
     ``(mitigation_id, technique_id)``.  ``technique_index`` maps each
-    technique ID to its column.
+    technique ID to its column and ``mitigation_index`` each mitigation
+    ID to its row.
 
     The constructor takes the records and ``(mitigation_id,
     technique_id)`` pairs as any iterables, in any order, so equal
@@ -279,6 +287,7 @@ class Catalog:
             ("mapping_cols", cols),
             ("meta", meta),
             ("technique_index", column_of),
+            ("mitigation_index", row_of),
         ):
             _set(self, name, value)
 
@@ -294,8 +303,8 @@ class Catalog:
             self.mapping_cols.tobytes(),
         )
 
-    # Content only: ``meta``, ``technique_index`` and the records built
-    # on first read stay out of equality and hashing.
+    # Content only: ``meta``, the two indexes and the records built on
+    # first read stay out of equality and hashing.
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -333,25 +342,25 @@ class Catalog:
     def has_technique(self, technique_id: str) -> bool:
         return technique_id in self.technique_index
 
-    def mappings_to(self, columns) -> tuple[np.ndarray, np.ndarray]:
-        """The mappings to the techniques at ``columns`` of ``tids``.
-
-        Returns each one's mitigation row in ``mids`` and its technique's
-        place in ``columns``, ordered by row.
-        """
+    def covers(self, columns) -> np.ndarray:
+        """The cover table of the techniques at distinct ``columns`` of
+        ``tids``: one uint8 row per mitigation in ``mids``, holding 1 at
+        each place of ``columns`` whose technique the mitigation is
+        mapped to."""
         place = np.full(len(self.tids), -1, dtype=np.intp)
-        place[np.asarray(columns, dtype=np.intp)] = np.arange(len(columns))
+        place[columns] = np.arange(len(columns))
         places = place[self.mapping_cols]
         hit = places >= 0
-        return self.mapping_rows[hit], places[hit]
+        table = np.zeros((len(self.mids), len(columns)), dtype=np.uint8)
+        table[self.mapping_rows[hit], places[hit]] = 1
+        return table
 
     def mitigations_for(self, technique_id: str) -> tuple[str, ...]:
         """Mitigation IDs mapped to a technique, sorted."""
         column = self.technique_index.get(technique_id)
         if column is None:
             return ()
-        rows, _ = self.mappings_to([column])
-        return tuple(map(self.mids.__getitem__, rows.tolist()))
+        return tuple(compress(self.mids, self.covers([column]).ravel().tolist()))
 
     def mitigation_names(self) -> dict[str, str]:
         return dict(zip(self.mids, self.mnames))
@@ -791,11 +800,11 @@ def dumps_catalog(catalog: Catalog) -> bytes:
 def _entity_columns(entries, kind: type, ids_pattern: re.Pattern) -> list[list]:
     """The columns (one per field of ``kind``) of a document's entities.
 
-    One test over each whole column accepts the common case: object
-    entries, str IDs that ``ids_pattern`` matches, ASCII str names and
-    bool flags, a field absent taking its default.  When it fails, each entry
-    goes through the constructor of ``kind``, which raises the message
-    for the first bad one, or accepts them all (non-ASCII names, say).
+    One :func:`_plain_columns` test over the whole columns accepts the
+    common case of object entries, a field absent taking its default.
+    When it fails, each entry goes through the constructor of ``kind``,
+    which raises the message for the first bad one, or accepts them all
+    (non-ASCII names, say).
     """
     fields = dataclasses.fields(kind)
     defaults = [(f.name, f.default) for f in fields[1:]]
@@ -805,14 +814,7 @@ def _entity_columns(entries, kind: type, ids_pattern: re.Pattern) -> list[list]:
             list(map(dict.get, entries, repeat(name), repeat(default)))
             for name, default in defaults
         ]
-        names, *flags = columns
-        if (
-            set(map(type, ids)) <= {str}
-            and _all_ids(ids_pattern, ids)
-            and set(map(type, names)) <= {str}
-            and "".join(names).isascii()
-            and all(set(map(type, flag)) <= {bool} for flag in flags)
-        ):
+        if _plain_columns(ids, *columns, ids_re=ids_pattern):
             return [ids, *columns]
     records = [
         kind(entry["id"], *(entry.get(name, default) for name, default in defaults))

@@ -40,7 +40,7 @@ from .scoring import (
     parse_cvss_level,
     risk_factor,
 )
-from .simulator import Campaign, compare_orders, resolve_campaign
+from .simulator import Campaign, compare_orders
 
 log = logging.getLogger(__name__)
 
@@ -149,7 +149,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             "catalog_hash": matrix.catalog_hash,
             "weights_hash": matrix.weights_hash,
             "method": args.method,
-            "campaign": list(resolve_campaign(campaign, catalog)),
+            "campaign": [tid for tid, _ in report.plan_result.per_technique_block_step],
             "k": campaign.block_threshold,
             "seed": baseline.seed,
             "trials": baseline.trials,

@@ -68,7 +68,9 @@ class DecisionMatrix:
     provenance: Provenance = NO_PROVENANCE
 
     def __post_init__(self):
-        coverage = np.array(self.coverage, dtype=float)
+        # C order: row sums, and so the scores, can differ in their last
+        # bits between memory layouts of the same cells.
+        coverage = np.array(self.coverage, dtype=float, order="C")
         weights = np.array(self.weights, dtype=float)
         m, n = len(self.mitigation_ids), len(self.technique_ids)
         if coverage.shape != (m, n):
@@ -142,8 +144,9 @@ def build_decision_matrix(catalog: Catalog, weights: WeightVector) -> DecisionMa
         raise CatalogError(
             f"weighted technique {exc.args[0]} not present in catalog"
         ) from None
-    counts = np.bincount(catalog.mapping_cols, minlength=len(catalog.tids))
-    mapped = counts[columns] > 0
+    covers = catalog.covers(columns)
+    counts = covers.sum(axis=0)
+    mapped = counts > 0
     dropped = tuple(compress(weights.tids, ~mapped))
     if dropped:
         logger.warning(
@@ -152,17 +155,13 @@ def build_decision_matrix(catalog: Catalog, weights: WeightVector) -> DecisionMa
             ", ".join(dropped),
         )
 
-    rows, cols = catalog.mappings_to(columns[mapped])
-    present = np.flatnonzero(np.bincount(rows, minlength=len(catalog.mids)))
-    mitigation_ids = tuple(map(catalog.mids.__getitem__, present.tolist()))
-    coverage = np.zeros((present.size, int(mapped.sum())))
-    coverage[np.searchsorted(present, rows), cols] = 1.0
-    coverage /= coverage.sum(axis=0)
-
+    # Unmapped columns hold no covers, so this keeps every row that
+    # covers a mapped technique.
+    present = covers.any(axis=1)
     return DecisionMatrix(
-        mitigation_ids=mitigation_ids,
+        mitigation_ids=tuple(compress(catalog.mids, present.tolist())),
         technique_ids=tuple(compress(weights.tids, mapped)),
-        coverage=coverage,
+        coverage=covers[:, mapped][present] / counts[mapped],
         weights=np.asarray(weights.values, dtype=float)[mapped],
         dropped_techniques=dropped,
         provenance=Provenance(catalog, weights),

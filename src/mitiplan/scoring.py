@@ -17,11 +17,10 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .catalog import (
-    _TECHNIQUE_IDS_RE,
-    _all_ids,
     _check_name,
     _collector_paused,
     _csv_field,
+    _plain_columns,
     _read_rows,
     _set,
     parse_technique_id,
@@ -69,10 +68,7 @@ def _first_bad_weight(tids, weights, names) -> int | None:
     no NaN or infinite term, so the minimum then tells the sign.
     """
     if (
-        set(map(type, tids)) <= {str}
-        and _all_ids(_TECHNIQUE_IDS_RE, tids)
-        and set(map(type, names)) <= {str}
-        and "".join(names).isascii()
+        _plain_columns(tids, names)
         and (not weights or (math.isfinite(sum(weights)) and min(weights) > 0))
         and len(set(tids)) == len(tids)
     ):

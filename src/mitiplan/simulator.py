@@ -16,17 +16,12 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
 from . import _mcsim_py as _kernel
-from .catalog import (
-    Catalog,
-    is_subtechnique,
-    parent_technique,
-    parse_mitigation_id,
-    parse_technique_id,
-)
+from .catalog import Catalog, parse_mitigation_id, parse_technique_id
 from .errors import SimulationError, ValidationError
 from .mcdm import RankedPlan
 
@@ -177,15 +172,10 @@ def resolve_campaign(campaign: Campaign, catalog: Catalog) -> tuple[str, ...]:
     """
     resolved = set()
     for tid in campaign.techniques:
-        if catalog.has_technique(tid):
-            resolved.add(tid)
-            continue
-        if is_subtechnique(tid):
-            parent = parent_technique(tid)
-            if catalog.has_technique(parent):
-                resolved.add(parent)
-                continue
-        raise SimulationError(f"campaign technique {tid} not in catalog")
+        match = tid if catalog.has_technique(tid) else tid.partition(".")[0]
+        if not catalog.has_technique(match):
+            raise SimulationError(f"campaign technique {tid} not in catalog")
+        resolved.add(match)
     return tuple(sorted(resolved))
 
 
@@ -205,45 +195,41 @@ def simulate_campaign(plan, catalog: Catalog, campaign: Campaign) -> SimulationR
     accumulates enough mapped mitigations to block.
 
     `plan` may be a RankedPlan or any sequence of mitigation IDs.  Every
-    mitigation must exist in the catalog.  Deterministic.
+    mitigation must exist in the catalog, once; the first that does not,
+    in plan order, is an error.  Deterministic.
     """
     order = _mitigation_order(plan)
-    known = set(catalog.mitigation_ids())
-    seen = set()
-    for mid in order:
-        if mid not in known:
+    rows = np.fromiter(map(catalog.mitigation_index.get, order, repeat(-1)), np.intp)
+    repeated = np.ones(rows.size, dtype=bool)
+    repeated[np.unique(rows, return_index=True)[1]] = False
+    bad = np.flatnonzero(repeated | (rows < 0))
+    if bad.size:
+        mid = order[bad[0]]
+        if rows[bad[0]] < 0:
             raise SimulationError(f"plan mitigation {mid} not in catalog")
-        if mid in seen:
-            raise SimulationError(f"plan applies {mid} twice")
-        seen.add(mid)
+        raise SimulationError(f"plan applies {mid} twice")
 
+    # A technique is short of the threshold over a prefix of the steps
+    # and blocks one step past it, or never when that is past the plan.
+    # Covers never outnumber the steps, so any threshold past them acts alike.
     resolved = resolve_campaign(campaign, catalog)
-    mapped = {tid: set(catalog.mitigations_for(tid)) for tid in resolved}
-    counts = dict.fromkeys(resolved, 0)
-    block_step: dict[str, int | None] = dict.fromkeys(resolved)
-    blocked = 0
-    curve = []
-    for step, mid in enumerate(order, start=1):
-        for tid in resolved:
-            if block_step[tid] is None and mid in mapped[tid]:
-                counts[tid] += 1
-                if counts[tid] == campaign.block_threshold:
-                    block_step[tid] = step
-                    blocked += 1
-        curve.append((step, blocked / len(resolved)))
-    steps = max(block_step.values()) if blocked == len(resolved) else None
+    threshold = min(campaign.block_threshold, rows.size + 1)
+    taken = np.cumsum(_cover_matrix(catalog, resolved)[rows], axis=0)
+    steps = (taken < threshold).sum(axis=0) + 1
+    blocked = np.bincount(steps, minlength=rows.size + 2)[1:-1].cumsum()
+    block_step = [step if step <= rows.size else None for step in steps.tolist()]
     return SimulationResult(
-        steps_to_block=steps,
-        per_technique_block_step=tuple((tid, block_step[tid]) for tid in resolved),
-        coverage_curve=tuple(curve),
+        steps_to_block=None if None in block_step else max(block_step),
+        per_technique_block_step=tuple(zip(resolved, block_step)),
+        coverage_curve=tuple(
+            (step, count / len(resolved))
+            for step, count in enumerate(blocked.tolist(), start=1)
+        ),
     )
 
 
 def _cover_matrix(catalog: Catalog, resolved: tuple[str, ...]) -> np.ndarray:
-    rows, cols = catalog.mappings_to([catalog.technique_index[tid] for tid in resolved])
-    covers = np.zeros((len(catalog.mids), len(resolved)), dtype=np.uint8)
-    covers[rows, cols] = 1
-    return covers
+    return catalog.covers([catalog.technique_index[tid] for tid in resolved])
 
 
 # Philox4x64-10 (Salmon et al., SC 2011), as NumPy's Philox bit generator
@@ -601,8 +587,14 @@ def random_baseline(
         "<=" if backward else ">",
         2 * threshold - 1,
     )
+    # The steps take 8 bytes per trial, and the forward walk's orders 8m.
+    if 8 * trials * (1 if backward else max(covers.shape[0], 1)) > np.iinfo(np.intp).max:
+        raise ValidationError(f"trials {trials} is more than NumPy can hold in one array")
     walk = backward_steps if backward else forward_steps
-    out = walk(covers, threshold, trials, seed)
+    try:
+        out = walk(covers, threshold, trials, seed)
+    except MemoryError:
+        raise SimulationError(f"out of memory running {trials} trials") from None
     blocked = out[out > 0]
     unblocked_fraction = float(trials - blocked.size) / trials
     if blocked.size:

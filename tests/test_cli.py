@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import mitiplan
-from mitiplan import cli
+from mitiplan import cli, simulator
 from mitiplan.catalog import Catalog, Mitigation, Technique, load_catalog, save_catalog
 from mitiplan.cli import run
 from mitiplan.matrix import build_decision_matrix
@@ -703,6 +703,27 @@ class TestSimulate:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("campaign", ["T1053,T1059", "T1112"])  # forward, backward
+    @pytest.mark.parametrize("trials", [2**63, 2**61])
+    def test_trials_past_numpy_array_sizes_exit_1(self, fixture_dir, capsys, campaign, trials):
+        # NumPy rejects these sizes before allocating anything.
+        assert self._simulate(fixture_dir, campaign, trials=str(trials)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: trials {trials} is more than NumPy can hold in one array\n"
+        )
+
+    def test_walk_out_of_memory_exits_1(self, fixture_dir, capsys, monkeypatch):
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(simulator, "forward_steps", exhausted)
+        assert self._simulate(fixture_dir, "T1053,T1059") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: out of memory running 500 trials\n"
 
     def test_never_blocked_baseline_line(self, fixture_dir, capsys):
         args = [

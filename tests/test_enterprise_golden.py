@@ -4,7 +4,7 @@ The catalog, matrix and plan outputs of the seeded Enterprise-size
 catalog are pinned by SHA-256, and its random baselines by their exact
 summaries.  The canonical catalog writer is checked against the
 standard library's JSON encoder, and every index-backed ``Catalog``
-lookup is checked against a plain scan of ``mappings``.
+lookup and cover table is checked against a plain scan of ``mappings``.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from mitiplan.catalog import (
 )
 from mitiplan.cli import run
 from mitiplan.matrix import build_decision_matrix, export_matrix_csv
+from mitiplan.mcdm import score_matrix
 from mitiplan.scoring import render_weights_csv
 from mitiplan.simulator import Campaign, random_baseline
 
@@ -174,6 +175,17 @@ def test_empty_catalog_equals_json_module():
 
 
 def _check_lookups_against_scan(catalog):
+    table = np.zeros((len(catalog.mids), len(catalog.tids)), dtype=np.uint8)
+    for mid, tid in catalog.mappings:
+        table[catalog.mids.index(mid), catalog.tids.index(tid)] = 1
+    columns = np.random.default_rng(len(catalog.tids)).permutation(len(catalog.tids))
+    for picked in (columns, columns[:3], columns[:0]):
+        covers = catalog.covers(picked)
+        assert covers.dtype == np.uint8
+        assert np.array_equal(covers, table[:, picked])
+    assert [catalog.mitigation_index[mid] for mid in catalog.mids] == list(
+        range(len(catalog.mids))
+    )
     unknown_tids = ("T9999", "T9999.001")
     for tid in catalog.technique_ids() + unknown_tids:
         scanned = tuple(m for m, t in catalog.mappings if t == tid)
@@ -225,6 +237,23 @@ def test_indexes_stay_out_of_equality_and_hash(enterprise):
 @given(_catalogs())
 def test_index_lookups_equal_scan_on_random_catalogs(catalog):
     _check_lookups_against_scan(catalog)
+
+
+def test_scores_do_not_depend_on_coverage_layout(enterprise):
+    matrix = build_decision_matrix(*enterprise)
+    cells = matrix.coverage
+    wide = np.zeros((cells.shape[0], 2 * cells.shape[1]))
+    wide[:, ::2] = cells
+    copies = (np.ascontiguousarray(cells), np.asfortranarray(cells), wide[:, ::2])
+    assert copies[1].flags.f_contiguous and not copies[2].flags.contiguous
+    for method, kwargs in (("wsm", {}), ("wpm", {"zero_policy": "epsilon"}), ("topsis", {})):
+        scores = {
+            score_matrix(
+                dataclasses.replace(matrix, coverage=copy), method, **kwargs
+            ).scores
+            for copy in copies
+        }
+        assert scores == {score_matrix(matrix, method, **kwargs).scores}
 
 
 def test_mapping_counts_equal_scan(enterprise):

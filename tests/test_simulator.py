@@ -246,6 +246,8 @@ class TestOrderProperties:
             checked += 1
 
     def test_matches_exhaustive_oracle(self):
+        # Every prefix of the order, the empty plan included, at the
+        # case's threshold and at one past 2^63 that no plan reaches.
         rng = np.random.default_rng(312)
         checked = 0
         while checked < 60:
@@ -253,19 +255,28 @@ class TestOrderProperties:
             if case is None:
                 continue
             catalog, campaign, order = case
-            covers = {
-                mid: {
-                    tid
-                    for tid in catalog.technique_ids()
-                    if mid in catalog.mitigations_for(tid)
-                }
-                for mid in catalog.mitigation_ids()
-            }
-            expected = oracle_steps_to_block(
-                order, covers, resolve_campaign(campaign, catalog), campaign.block_threshold
-            )
-            result = simulate_campaign(order, catalog, campaign)
-            assert result.steps_to_block == expected
+            covers = {}
+            for mid, tid in catalog.mappings:
+                covers.setdefault(mid, set()).add(tid)
+            resolved = resolve_campaign(campaign, catalog)
+            for threshold in (campaign.block_threshold, 2**63 + 1):
+                for end in range(len(order) + 1):
+                    plan = order[:end]
+                    result = simulate_campaign(
+                        plan, catalog, Campaign(campaign.techniques, threshold)
+                    )
+                    assert result.steps_to_block == oracle_steps_to_block(
+                        plan, covers, resolved, threshold
+                    )
+                    steps = [
+                        oracle_steps_to_block(plan, covers, (tid,), threshold)
+                        for tid in resolved
+                    ]
+                    assert result.per_technique_block_step == tuple(zip(resolved, steps))
+                    assert result.coverage_curve == tuple(
+                        (s, sum(b is not None and b <= s for b in steps) / len(resolved))
+                        for s in range(1, end + 1)
+                    )
             checked += 1
 
 
