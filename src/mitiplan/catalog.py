@@ -13,6 +13,7 @@ import dataclasses
 import functools
 import gc
 import json
+import numbers
 import operator
 import re
 from dataclasses import dataclass
@@ -78,6 +79,12 @@ def parent_technique(technique_id: str) -> str:
     """Parent of a sub-technique ID; a parent-level ID is its own parent."""
     parse_technique_id(technique_id)
     return technique_id.split(".", 1)[0]
+
+
+def _is_integer(value) -> bool:
+    """True for Python and NumPy integers; bool is an int subclass but
+    never a count, a seed or a timestamp."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _check_type(entity_id: str, field_name: str, value, kind: type) -> None:
@@ -332,12 +339,6 @@ class Catalog:
                 map(self.tids.__getitem__, self.mapping_cols.tolist()),
             )
         )
-
-    def technique_ids(self) -> tuple[str, ...]:
-        return self.tids
-
-    def mitigation_ids(self) -> tuple[str, ...]:
-        return self.mids
 
     def has_technique(self, technique_id: str) -> bool:
         return technique_id in self.technique_index
@@ -808,7 +809,7 @@ def _entity_columns(entries, kind: type, ids_pattern: re.Pattern) -> list[list]:
     """
     fields = dataclasses.fields(kind)
     defaults = [(f.name, f.default) for f in fields[1:]]
-    if type(entries) is list and set(map(type, entries)) <= {dict}:
+    if set(map(type, entries)) <= {dict}:
         ids = list(map(dict.get, entries, repeat("id")))
         columns = [
             list(map(dict.get, entries, repeat(name), repeat(default)))
@@ -821,6 +822,14 @@ def _entity_columns(entries, kind: type, ids_pattern: re.Pattern) -> list[list]:
         for entry in entries
     ]
     return [[getattr(record, f.name) for record in records] for f in fields]
+
+
+def _section(doc: dict, name: str) -> list:
+    """A catalog document's array ``name``; an absent one is empty."""
+    entries = doc.get(name, [])
+    if type(entries) is not list:
+        raise ParseError(f"malformed catalog document: {name!r} must be an array")
+    return entries
 
 
 @_collector_paused
@@ -840,12 +849,12 @@ def loads_catalog(data: bytes | str) -> Catalog:
         )
     try:
         tids, tnames, revoked, deprecated = _entity_columns(
-            doc.get("techniques", []), Technique, _TECHNIQUE_IDS_RE
+            _section(doc, "techniques"), Technique, _TECHNIQUE_IDS_RE
         )
         mids, mnames = _entity_columns(
-            doc.get("mitigations", []), Mitigation, _MITIGATION_IDS_RE
+            _section(doc, "mitigations"), Mitigation, _MITIGATION_IDS_RE
         )
-        pair_mids, pair_tids = _pair_columns(doc.get("mappings", []), TypeError)
+        pair_mids, pair_tids = _pair_columns(_section(doc, "mappings"), TypeError)
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed catalog document: {exc}") from exc
     return Catalog._from_columns(

@@ -18,6 +18,7 @@ from .catalog import (
     _JSON_ERRORS,
     _check_name,
     _csv_field,
+    _is_integer,
     parse_mitigation_id,
     parse_technique_id,
 )
@@ -31,9 +32,13 @@ PLAN_CSV_HEADER = "rank,mitigation_id,name,score,covered_techniques"
 SCORE_DECIMALS = 6
 
 
-def _check_timestamp(timestamp: int) -> None:
+def _check_timestamp(timestamp: int) -> int:
+    """A timestamp as an int; it must be an integer (bool is not) >= 0."""
+    if not _is_integer(timestamp):
+        raise ValidationError(f"timestamp must be an integer, got {timestamp!r}")
     if timestamp < 0:
         raise ValidationError("timestamp must be UTC seconds >= 0")
+    return int(timestamp)
 
 
 @dataclass(frozen=True)
@@ -48,7 +53,7 @@ class PlanDocument:
     entries: tuple[PlanEntry, ...]
 
     def __post_init__(self):
-        _check_timestamp(self.timestamp)
+        object.__setattr__(self, "timestamp", _check_timestamp(self.timestamp))
         ranks = [entry.rank for entry in self.entries]
         if ranks != list(range(1, len(self.entries) + 1)):
             raise ValidationError("entries must be in rank order 1..m")

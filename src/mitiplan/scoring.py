@@ -43,48 +43,6 @@ class WeightEntry:
         _check_name(self.technique_id, self.name)
 
 
-def _is_real(weight) -> bool:
-    return not isinstance(weight, bool) and isinstance(weight, numbers.Real)
-
-
-def _as_float(weight) -> float:
-    """A real weight as a float (inf when too large for one); NaN, which
-    no weight check passes, for anything else."""
-    if not _is_real(weight):
-        return math.nan
-    try:
-        return float(weight)
-    except OverflowError:
-        return math.inf
-
-
-def _first_bad_weight(tids, weights, names) -> int | None:
-    """Index of the first entry whose weight is not finite and positive,
-    whose ID or name :class:`WeightEntry` rejects, or whose ID an earlier
-    entry holds; None when every entry passes.
-
-    One test over the whole columns accepts the common case; the entries
-    are walked one by one only when it fails.  A sum that is finite has
-    no NaN or infinite term, so the minimum then tells the sign.
-    """
-    if (
-        _plain_columns(tids, names)
-        and (not weights or (math.isfinite(sum(weights)) and min(weights) > 0))
-        and len(set(tids)) == len(tids)
-    ):
-        return None
-    seen = set()
-    for index, (tid, weight, name) in enumerate(zip(tids, weights, names)):
-        if not 0 < weight < math.inf or tid in seen:
-            return index
-        try:
-            WeightEntry(tid, weight, name)
-        except ValidationError:
-            return index
-        seen.add(tid)
-    return None
-
-
 @dataclass(frozen=True, init=False)
 class WeightVector:
     """Per-technique importance weights, descending by weight.
@@ -103,23 +61,27 @@ class WeightVector:
     names: tuple[str, ...]
 
     def __init__(self, entries):
-        entries = list(entries)
-        tids = [e.technique_id for e in entries]
-        given = [e.weight for e in entries]
-        names = [e.name for e in entries]
-        weights = list(map(_as_float, given))
-        bad = _first_bad_weight(tids, weights, names)
-        if bad is not None:
-            tid, weight = tids[bad], weights[bad]
-            if not _is_real(given[bad]):
+        tids, weights, names, seen = [], [], [], set()
+        for entry in entries:
+            tid, weight = entry.technique_id, entry.weight
+            if isinstance(weight, bool) or not isinstance(weight, numbers.Real):
                 raise ValidationError(
-                    f"weight for {tid} must be a real number, got {given[bad]!r}"
+                    f"weight for {tid} must be a real number, got {weight!r}"
                 )
+            try:
+                weight = float(weight)
+            except OverflowError:
+                weight = math.inf
             if not 0 < weight < math.inf:
                 raise ValidationError(
                     f"weight for {tid} must be finite and positive, got {weight}"
                 )
-            raise ValidationError(f"duplicate technique {tid}")
+            if tid in seen:
+                raise ValidationError(f"duplicate technique {tid}")
+            seen.add(tid)
+            tids.append(tid)
+            weights.append(weight)
+            names.append(entry.name)
         self._fill(tids, weights, names)
 
     @classmethod
@@ -149,12 +111,6 @@ class WeightVector:
     def __len__(self) -> int:
         return len(self.tids)
 
-    def technique_ids(self) -> tuple[str, ...]:
-        return self.tids
-
-    def weights(self) -> tuple[float, ...]:
-        return self.values
-
 
 WEIGHTS_CSV_HEADER = "no,score,tid,name"
 
@@ -170,41 +126,48 @@ def load_weights(data: bytes | str) -> WeightVector:
     """
     rows = _read_rows(data, "weights CSV", WEIGHTS_CSV_HEADER)
     cells = [row for _, row in rows]
-    unreadable = None
     try:
         if set(map(len, cells)) - {4}:
             raise ValueError
         scores = list(map(float, [row[1] for row in cells]))
     except ValueError:
-        # Read up to the first row that is not four cells with a number
-        # for a score; the rows before it are checked first.
-        for end, row in enumerate(cells):
-            if len(row) != 4:
-                unreadable = "expected 4 columns"
-                break
-            try:
-                float(row[1])
-            except ValueError:
-                unreadable = f"bad score {row[1]!r}"
-                break
-        cells = cells[:end]
-        scores = [float(row[1]) for row in cells]
-    tids = [row[2].strip() for row in cells]
-    names = [row[3] for row in cells]
-    bad = _first_bad_weight(tids, scores, names)
-    if bad is not None:
-        where = f"weights CSV row {rows[bad][0]}"
-        if not 0 < scores[bad] < math.inf:
-            raise ParseError(
-                f"{where}: score must be finite and positive, got {scores[bad]}"
-            )
+        pass
+    else:
+        # One test over the whole columns accepts the common case.  A sum
+        # that is finite has no NaN or infinite term, so the minimum then
+        # tells the sign.
+        tids = [row[2].strip() for row in cells]
+        names = [row[3] for row in cells]
+        if (
+            _plain_columns(tids, names)
+            and (not scores or (math.isfinite(sum(scores)) and min(scores) > 0))
+            and len(set(tids)) == len(tids)
+        ):
+            return WeightVector._from_columns(tids, scores, names)
+    # Otherwise each row is checked in turn, and the first bad one raises.
+    tids, scores, names, seen = [], [], [], set()
+    for number, row in rows:
+        where = f"weights CSV row {number}"
+        if len(row) != 4:
+            raise ParseError(f"{where}: expected 4 columns")
+        _, score, tid, name = row
         try:
-            WeightEntry(tids[bad], scores[bad], names[bad])
+            score = float(score)
+        except ValueError:
+            raise ParseError(f"{where}: bad score {score!r}") from None
+        if not 0 < score < math.inf:
+            raise ParseError(f"{where}: score must be finite and positive, got {score}")
+        tid = tid.strip()
+        try:
+            WeightEntry(tid, score, name)
         except ValidationError as exc:
             raise ParseError(f"{where}: {exc}") from exc
-        raise ParseError(f"{where}: duplicate technique {tids[bad]}")
-    if unreadable is not None:
-        raise ParseError(f"weights CSV row {rows[len(cells)][0]}: {unreadable}")
+        if tid in seen:
+            raise ParseError(f"{where}: duplicate technique {tid}")
+        seen.add(tid)
+        tids.append(tid)
+        scores.append(score)
+        names.append(name)
     return WeightVector._from_columns(tids, scores, names)
 
 
@@ -252,8 +215,12 @@ class RiskInputs:
 
 
 def risk_factor(inputs: RiskInputs) -> float:
-    """Threat probability x vulnerability probability x impact."""
-    return inputs.threat * inputs.vulnerability * inputs.impact
+    """Threat probability x vulnerability probability x impact.
+
+    The inputs are nonnegative, so ``abs`` only turns the product of a
+    -0.0 input into 0.0.
+    """
+    return abs(inputs.threat * inputs.vulnerability * inputs.impact)
 
 
 class AttackVector(Enum):

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import logging
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 from itertools import repeat
@@ -21,7 +20,7 @@ from itertools import repeat
 import numpy as np
 
 from . import _mcsim_py as _kernel
-from .catalog import Catalog, parse_mitigation_id, parse_technique_id
+from .catalog import Catalog, _is_integer, parse_mitigation_id, parse_technique_id
 from .errors import SimulationError, ValidationError
 from .mcdm import RankedPlan
 
@@ -29,12 +28,6 @@ from .mcdm import RankedPlan
 log = logging.getLogger(__name__)
 
 MAX_SEED = 2**64 - 1
-
-
-def _is_integer(value) -> bool:
-    """True for Python and NumPy integers; bool is an int subclass but
-    never a count or a seed."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

@@ -89,7 +89,7 @@ def test_criterion_1_cell_reproduction(v13_matrix):
 
 
 def test_criterion_2_known_anomaly(v13_matrix, v13_weights):
-    w = dict(zip(v13_weights.technique_ids(), v13_weights.weights()))["T1053"]
+    w = dict(zip(v13_weights.tids, v13_weights.values))["T1053"]
     assert w == pytest.approx(2.951543, abs=1e-6)
     for mid in T1053_MITIGATIONS:
         assert v13_matrix.cell(mid, "T1053") == pytest.approx(w / 4, abs=CELL_TOL)
@@ -110,7 +110,7 @@ def test_criterion_3_total_score_reproduction(v13_matrix, v13_catalog):
     scores = dict(wsm_scores(v13_matrix).entries())
     off_t1053 = [
         mid
-        for mid in v13_catalog.mitigation_ids()
+        for mid in v13_catalog.mids
         if mid not in T1053_MITIGATIONS
     ]
     assert len(off_t1053) == 14

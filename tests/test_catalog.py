@@ -186,8 +186,8 @@ class TestCatalogType:
             [Mitigation("M1038"), Mitigation("M1026")],
             [["M1038", "T1053"], ("M1026", "T1059"), ("M1026", "T1053")],
         )
-        assert catalog.technique_ids() == ("T1053", "T1059")
-        assert catalog.mitigation_ids() == ("M1026", "M1038")
+        assert catalog.tids == ("T1053", "T1059")
+        assert catalog.mids == ("M1026", "M1038")
         assert catalog.mappings == (
             ("M1026", "T1053"),
             ("M1026", "T1059"),
@@ -277,8 +277,8 @@ class TestStixIngest:
                 _mitigates(2, 1),
             )
         )
-        assert catalog.technique_ids() == ("T1053",)
-        assert catalog.mitigation_ids() == ("M1026",)
+        assert catalog.tids == ("T1053",)
+        assert catalog.mids == ("M1026",)
         assert catalog.mappings == (("M1026", "T1053"),)
 
     def test_accepts_serialized_bundle(self):
@@ -297,16 +297,16 @@ class TestStixIngest:
                 _mitigates(2, 3),
             )
         )
-        assert catalog.technique_ids() == ("T1053",)
+        assert catalog.tids == ("T1053",)
         assert catalog.mappings == (("M1026", "T1053"),)
         # The dropped technique's relationship is filtered, not dangling.
         assert catalog.meta.dangling_refs == 0
 
     def test_deprecated_kept_on_request(self):
         bundle = _bundle(_technique(1, "T1053", deprecated=True))
-        assert parse_stix_bundle(bundle).technique_ids() == ()
+        assert parse_stix_bundle(bundle).tids == ()
         kept = parse_stix_bundle(bundle, include_deprecated=True)
-        assert kept.technique_ids() == ("T1053",)
+        assert kept.tids == ("T1053",)
 
     def test_subtechnique_collapse(self):
         catalog = parse_stix_bundle(
@@ -316,7 +316,7 @@ class TestStixIngest:
                 _mitigates(2, 1),
             )
         )
-        assert catalog.technique_ids() == ("T1053",)
+        assert catalog.tids == ("T1053",)
         assert catalog.mappings == (("M1038", "T1053"),)
 
     def test_no_collapse_keeps_subtechniques(self):
@@ -328,7 +328,7 @@ class TestStixIngest:
             ),
             collapse=False,
         )
-        assert catalog.technique_ids() == ("T1053.005",)
+        assert catalog.tids == ("T1053.005",)
         assert catalog.mappings == (("M1038", "T1053.005"),)
 
     def test_dangling_refs_counted(self):
@@ -345,7 +345,7 @@ class TestStixIngest:
                 _technique(1, "T1053"),
             )
         )
-        assert catalog.technique_ids() == ("T1053",)
+        assert catalog.tids == ("T1053",)
         assert catalog.meta.skipped_objects == 1
 
     def test_malformed_object_names_index(self):
@@ -365,7 +365,7 @@ class TestStixIngest:
         bad = _technique(2, "T1059")
         bad["external_references"] = None
         catalog = parse_stix_bundle(_bundle(_technique(1, "T1053"), bad))
-        assert catalog.technique_ids() == ("T1053",)
+        assert catalog.tids == ("T1053",)
         assert catalog.meta.skipped_objects == 1
 
     @pytest.mark.parametrize(
@@ -393,8 +393,8 @@ class TestStixIngest:
             ),
             include_deprecated=True,
         )
-        assert catalog.technique_ids() == ("T1053",)
-        assert catalog.mitigation_ids() == ("M1026",)
+        assert catalog.tids == ("T1053",)
+        assert catalog.mids == ("M1026",)
         assert catalog.meta.skipped_objects == 2
         kind = type(_ENTITY_DEFAULTS[prop]).__name__
         assert catalog.meta.warnings == (
@@ -409,8 +409,8 @@ class TestStixIngest:
             _mitigation(3, "M1026", name="\ud800"),
         )
         catalog = parse_stix_bundle(json.dumps(bundle))
-        assert catalog.technique_ids() == ("T1053",)
-        assert catalog.mitigation_ids() == ()
+        assert catalog.tids == ("T1053",)
+        assert catalog.mids == ()
         assert catalog.meta.skipped_objects == 2
         reason = "name is not encodable as UTF-8 (surrogates not allowed at index"
         assert catalog.meta.warnings == (
@@ -481,7 +481,7 @@ class TestCollapse:
             [("M1026", "T1053"), ("M1026", "T1053.005"), ("M1038", "T1053.005")],
         )
         collapsed = collapse_subtechniques(catalog)
-        assert collapsed.technique_ids() == ("T1053",)
+        assert collapsed.tids == ("T1053",)
         assert collapsed.mappings == (("M1026", "T1053"), ("M1038", "T1053"))
 
     def test_creates_missing_parent(self):
@@ -491,7 +491,7 @@ class TestCollapse:
             [("M1026", "T1053.005")],
         )
         collapsed = collapse_subtechniques(catalog)
-        assert collapsed.technique_ids() == ("T1053",)
+        assert collapsed.tids == ("T1053",)
         assert collapsed.mappings == (("M1026", "T1053"),)
 
     def test_parent_kept_whatever_the_order(self):
@@ -508,7 +508,7 @@ class TestCsvIngest:
     def test_v13_fixture_counts(self, v13_catalog):
         counts = {
             tid: len(v13_catalog.mitigations_for(tid))
-            for tid in v13_catalog.technique_ids()
+            for tid in v13_catalog.tids
         }
         assert counts == {
             "T1036": 3,
@@ -523,8 +523,8 @@ class TestCsvIngest:
             "T1574": 10,
         }
         assert len(v13_catalog.mappings) == 46
-        assert len(v13_catalog.technique_ids()) == 10
-        assert len(v13_catalog.mitigation_ids()) == 18
+        assert len(v13_catalog.tids) == 10
+        assert len(v13_catalog.mids) == 18
 
     def test_empty_mapping_file(self):
         catalog = parse_mapping_csv(

@@ -183,7 +183,7 @@ class TestIngest:
             == 0
         )
         collapsed = load_catalog(collapsed_path)
-        assert collapsed.technique_ids() == ("T1566",)
+        assert collapsed.tids == ("T1566",)
         assert collapsed.mappings == (("M1017", "T1566"),)
 
         flat_path = tmp_path / "flat.json"
@@ -202,7 +202,7 @@ class TestIngest:
             == 0
         )
         flat = load_catalog(flat_path)
-        assert flat.technique_ids() == ("T1566", "T1566.001")
+        assert flat.tids == ("T1566", "T1566.001")
         assert flat.mappings == (("M1017", "T1566.001"),)
 
     def test_stix_non_list_external_references_exits_1(self, tmp_path, capsys):
@@ -252,7 +252,7 @@ class TestIngest:
         code = run(["ingest", "stix", "--bundle", str(bundle_path), "--out", str(out)])
         assert code == 0
         assert "Traceback" not in capsys.readouterr().err
-        assert load_catalog(out).technique_ids() == ("T1566",)
+        assert load_catalog(out).tids == ("T1566",)
 
     @pytest.mark.parametrize("prop", ["source_ref", "target_ref"])
     def test_stix_non_string_ref_exits_1(self, tmp_path, capsys, prop):
@@ -562,6 +562,20 @@ class TestRank:
         assert captured.out == ""
         assert captured.err == f"error: duplicate {noun} {again['id']} in catalog\n"
 
+    @pytest.mark.parametrize("value", [{}, "T1053", None, 0])
+    @pytest.mark.parametrize("part", ["techniques", "mitigations", "mappings"])
+    def test_section_that_is_not_an_array_exits_1(self, fixture_dir, capsys, part, value):
+        path = fixture_dir / "paper_v13_catalog.json"
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc[part] = value
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert run(_rank_args(fixture_dir, "--out", "-")) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: malformed catalog document: '{part}' must be an array\n"
+        )
+
     def test_missing_catalog_file(self, fixture_dir, tmp_path, capsys):
         code = run(
             [
@@ -752,6 +766,14 @@ class TestScore:
     def test_risk(self, capsys):
         assert run(["score", "risk", "--threat", "0.8", "--vuln", "0.5", "--impact", "10"]) == 0
         assert capsys.readouterr().out.strip() == "4.000000"
+
+    @pytest.mark.parametrize(
+        "threat, impact", [("0.5", "-0.0"), ("-0.0", "2"), ("-0.0", "-0.0"), ("0", "1")]
+    )
+    def test_risk_of_a_zero_input_prints_positive_zero(self, capsys, threat, impact):
+        argv = ["score", "risk", "--threat", threat, "--vuln", "0.5", "--impact", impact]
+        assert run(argv) == 0
+        assert capsys.readouterr().out == "0.000000\n"
 
     def test_risk_rejects_out_of_range(self, capsys):
         assert run(["score", "risk", "--threat", "1.5", "--vuln", "0.5", "--impact", "1"]) == 1

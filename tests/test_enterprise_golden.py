@@ -187,7 +187,7 @@ def _check_lookups_against_scan(catalog):
         range(len(catalog.mids))
     )
     unknown_tids = ("T9999", "T9999.001")
-    for tid in catalog.technique_ids() + unknown_tids:
+    for tid in catalog.tids + unknown_tids:
         scanned = tuple(m for m, t in catalog.mappings if t == tid)
         present = any(t.id == tid for t in catalog.techniques)
         assert catalog.has_technique(tid) == present
@@ -261,7 +261,7 @@ def test_mapping_counts_equal_scan(enterprise):
     matrix = build_decision_matrix(catalog, weights)
     scanned = {
         tid: sum(1 for _, t in catalog.mappings if t == tid)
-        for tid in weights.technique_ids()
+        for tid in weights.tids
     }
     assert dict(zip(matrix.technique_ids, matrix.counts.tolist())) == {
         tid: count for tid, count in scanned.items() if count

@@ -6,6 +6,7 @@ import json
 import math
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -179,6 +180,28 @@ class TestTextFormats:
     def test_negative_timestamp_rejected_in_every_format(self, v13_plan, fmt):
         with pytest.raises(ValidationError, match="timestamp must be UTC seconds >= 0"):
             render_plan(v13_plan, fmt, timestamp=-1)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "markdown"])
+    @pytest.mark.parametrize("timestamp", [True, False, 1.5, 5.0, "5"])
+    def test_timestamp_that_is_not_an_integer_rejected(self, v13_plan, fmt, timestamp):
+        message = f"timestamp must be an integer, got {timestamp!r}"
+        with pytest.raises(ValidationError) as info:
+            render_plan(v13_plan, fmt, timestamp=timestamp)
+        assert str(info.value) == message
+        with pytest.raises(ValidationError) as info:
+            build_plan_document(v13_plan, timestamp=timestamp)
+        assert str(info.value) == message
+
+    def test_numpy_integer_timestamp_stored_as_int(self, v13_plan):
+        doc = build_plan_document(v13_plan, timestamp=np.int64(PINNED))
+        assert type(doc.timestamp) is int
+        data = render_plan(v13_plan, "json", timestamp=np.int64(PINNED))
+        assert data == render_plan(v13_plan, "json", timestamp=PINNED)
+        assert plan_document_from_json(data) == doc
+        for fmt in ("csv", "markdown"):
+            assert render_plan(v13_plan, fmt, timestamp=np.uint8(5)) == render_plan(
+                v13_plan, fmt
+            )
 
 
 class TestCsv:

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from mitiplan import scoring
 from mitiplan.errors import ParseError, ValidationError
 from mitiplan.scoring import (
     ATTACK_COMPLEXITY_VALUES,
@@ -31,10 +33,10 @@ from mitiplan.scoring import (
 class TestWeights:
     def test_v13_fixture_values(self, v13_weights):
         assert len(v13_weights) == 10
-        assert v13_weights.technique_ids()[0] == "T1053"
-        assert v13_weights.weights()[0] == pytest.approx(2.951542857)
-        assert v13_weights.technique_ids()[-1] == "T1112"
-        assert v13_weights.weights()[-1] == pytest.approx(1.922504762)
+        assert v13_weights.tids[0] == "T1053"
+        assert v13_weights.values[0] == pytest.approx(2.951542857)
+        assert v13_weights.tids[-1] == "T1112"
+        assert v13_weights.values[-1] == pytest.approx(1.922504762)
 
     def test_round_trip(self, v13_weights):
         assert load_weights(render_weights_csv(v13_weights)) == v13_weights
@@ -47,8 +49,8 @@ class TestWeights:
     def test_entries_re_sorted_on_load(self):
         data = "no,score,tid,name\n1,1.5,T1059,b\n2,2.5,T1053,a\n"
         weights = load_weights(data)
-        assert weights.technique_ids() == ("T1053", "T1059")
-        assert weights.weights() == (2.5, 1.5)
+        assert weights.tids == ("T1053", "T1059")
+        assert weights.values == (2.5, 1.5)
 
     def test_rejects_nonpositive_weight(self):
         with pytest.raises((ParseError, ValidationError)):
@@ -103,13 +105,13 @@ class TestWeights:
         floats = WeightVector([WeightEntry("T1053", 2.0), WeightEntry("T1059", 0.5)])
         for weight, half in ((2, Fraction(1, 2)), (np.float64(2.0), np.float64(0.5))):
             other = WeightVector([WeightEntry("T1053", weight), WeightEntry("T1059", half)])
-            assert [type(w) for w in other.weights()] == [float, float]
+            assert [type(w) for w in other.values] == [float, float]
             assert other == floats
             assert render_weights_csv(other) == render_weights_csv(floats)
 
     def test_ties_order_by_technique_id(self):
         entries = (WeightEntry("T1053", 1.0, ""), WeightEntry("T1059", 1.0, ""))
-        assert WeightVector(entries=entries).technique_ids() == ("T1053", "T1059")
+        assert WeightVector(entries=entries).tids == ("T1053", "T1059")
 
     @pytest.mark.parametrize(
         "body, message",
@@ -125,6 +127,25 @@ class TestWeights:
         with pytest.raises(ParseError) as info:
             load_weights("no,score,tid,name\n" + body)
         assert str(info.value) == message
+
+    def test_rows_are_checked_in_one_pass(self, monkeypatch):
+        # When the whole-column test fails, each row up to the first bad
+        # one builds one entry, the bad row's included; no row is checked
+        # twice.
+        made = []
+
+        class CountingEntry(WeightEntry):
+            def __init__(self, *args):
+                made.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(scoring, "WeightEntry", CountingEntry)
+        tids = [f"T{1001 + i}" for i in range(8)] + ["T99"]
+        body = "".join(f"{n},{10 - n}.0,{tid},x\n" for n, tid in enumerate(tids, start=1))
+        with pytest.raises(ParseError) as info:
+            load_weights("no,score,tid,name\n" + body)
+        assert str(info.value) == "weights CSV row 9: invalid technique ID: 'T99'"
+        assert len(made) == 9
 
     def test_byte_order_mark_ignored(self, v13_weights):
         data = render_weights_csv(v13_weights)
@@ -166,6 +187,10 @@ class TestRiskFactor:
         assert risk_factor(RiskInputs(0.9, 0.0, 100.0)) == 0.0
         assert risk_factor(RiskInputs(0.9, 0.9, 0.0)) == 0.0
         assert risk_factor(RiskInputs(1.0, 1.0, 42.5)) == 42.5
+
+    def test_negative_zero_input_gives_positive_zero(self):
+        for inputs in (RiskInputs(0.5, 0.5, -0.0), RiskInputs(-0.0, 0.5, 2.0)):
+            assert math.copysign(1.0, risk_factor(inputs)) == 1.0
 
     def test_random_inputs(self):
         rng = np.random.default_rng(1234)

@@ -193,9 +193,9 @@ class TestOrderProperties:
 
     def _random_case(self, rng):
         catalog, _ = random_catalog_and_weights(rng)
-        mids = list(catalog.mitigation_ids())
+        mids = list(catalog.mids)
         techniques = [
-            tid for tid in catalog.technique_ids() if catalog.mitigations_for(tid)
+            tid for tid in catalog.tids if catalog.mitigations_for(tid)
         ]
         if not techniques:
             return None
