@@ -363,9 +363,6 @@ class Catalog:
             return ()
         return tuple(compress(self.mids, self.covers([column]).ravel().tolist()))
 
-    def mitigation_names(self) -> dict[str, str]:
-        return dict(zip(self.mids, self.mnames))
-
 
 def _raise_for_pairs(pair_mids, pair_tids, row_of, column_of):
     """Raise for pairs of which some endpoint is unknown: the first pair

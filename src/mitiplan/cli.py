@@ -112,7 +112,7 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
 
 
 def _cmd_rank(args: argparse.Namespace) -> int:
-    catalog, matrix = _load_matrix(args)
+    _, matrix = _load_matrix(args)
     kwargs = {}
     if args.method == "wpm":
         kwargs["zero_policy"] = args.zero_policy
@@ -124,10 +124,7 @@ def _cmd_rank(args: argparse.Namespace) -> int:
             raise ValidationError("--top must be >= 1")
         plan = plan.top(args.top)
     fmt = "markdown" if args.format == "md" else args.format
-    data = render_plan(
-        plan, fmt, names=catalog.mitigation_names(), timestamp=args.timestamp
-    )
-    _write_bytes(data, args.out)
+    _write_bytes(render_plan(plan, fmt, timestamp=args.timestamp), args.out)
     return 0
 
 

@@ -50,7 +50,7 @@ class PlanEntry:
     mitigation_id: str
     score: float
     covered_techniques: tuple[str, ...]
-    name: str = ""  # display name, filled in for plan documents
+    name: str = ""  # the catalog's mitigation name; "" when it has none
 
 
 @dataclass(frozen=True)
@@ -208,7 +208,9 @@ def rank(scores: ScoreVector, matrix: DecisionMatrix) -> RankedPlan:
     The score vector must come from the same matrix (row sets are
     checked).  Scores equal after rounding to 9 decimals order by
     ascending mitigation ID.  Each entry records the techniques its
-    mitigation covers (nonzero cells in the row).
+    mitigation covers (nonzero cells in the row) and the mitigation's
+    name in the matrix's catalog: ``""`` for a matrix without one, or an
+    ID the catalog lacks.
     """
     if scores.mitigation_ids != matrix.mitigation_ids:
         raise McdmError("score vector and matrix rows do not match")
@@ -217,15 +219,19 @@ def rank(scores: ScoreVector, matrix: DecisionMatrix) -> RankedPlan:
         key=lambda i: (-round(scores.scores[i], TIE_DECIMALS), scores.mitigation_ids[i]),
     )
     technique_ids = matrix.technique_ids
+    catalog = matrix.provenance.catalog
+    names = {} if catalog is None else dict(zip(catalog.mids, catalog.mnames))
     entries = []
     for position, i in enumerate(order, start=1):
+        mid = scores.mitigation_ids[i]
         columns = np.flatnonzero(matrix.coverage[i] > 0).tolist()
         entries.append(
             PlanEntry(
                 rank=position,
-                mitigation_id=scores.mitigation_ids[i],
+                mitigation_id=mid,
                 score=scores.scores[i],
                 covered_techniques=tuple(sorted(technique_ids[j] for j in columns)),
+                name=names.get(mid, ""),
             )
         )
     return RankedPlan(

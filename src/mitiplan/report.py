@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ._version import __version__
 from .catalog import (
@@ -78,24 +78,9 @@ class PlanDocument:
         }
 
 
-def _named_entries(plan: RankedPlan, names: dict[str, str] | None) -> tuple[PlanEntry, ...]:
-    names = names or {}
-    return tuple(
-        replace(entry, name=names.get(entry.mitigation_id, ""))
-        for entry in plan.entries
-    )
-
-
-def build_plan_document(
-    plan: RankedPlan,
-    names: dict[str, str] | None = None,
-    timestamp: int | None = None,
-) -> PlanDocument:
-    """Wrap a ranked plan with metadata for rendering.
-
-    `names` maps mitigation IDs to display names (missing IDs render
-    empty).  `timestamp` pins the metadata clock; defaults to now.
-    """
+def build_plan_document(plan: RankedPlan, timestamp: int | None = None) -> PlanDocument:
+    """Wrap a ranked plan's entries, names included, with metadata for
+    rendering.  `timestamp` pins the metadata clock; defaults to now."""
     if timestamp is None:
         timestamp = int(time.time())
     return PlanDocument(
@@ -104,7 +89,7 @@ def build_plan_document(
         catalog_hash=plan.catalog_hash,
         weights_hash=plan.weights_hash,
         timestamp=timestamp,
-        entries=_named_entries(plan, names),
+        entries=plan.entries,
     )
 
 
@@ -161,22 +146,18 @@ def render_plan_document(document: PlanDocument, fmt: str) -> bytes:
     return _render_entries(document.entries, fmt)
 
 
-def render_plan(
-    plan: RankedPlan,
-    fmt: str,
-    names: dict[str, str] | None = None,
-    timestamp: int | None = None,
-) -> bytes:
-    """Render a ranked plan to one of the supported formats.
+def render_plan(plan: RankedPlan, fmt: str, timestamp: int | None = None) -> bytes:
+    """Render a ranked plan's entries, as they are, to one of the
+    supported formats.
 
     Same plan, same pinned timestamp, same bytes.  Only JSON prints the
     provenance, so only JSON reads the plan's input hashes.
     """
     if fmt == "json":
-        return _render_json(build_plan_document(plan, names, timestamp))
+        return _render_json(build_plan_document(plan, timestamp))
     if timestamp is not None:
         _check_timestamp(timestamp)
-    return _render_entries(_named_entries(plan, names), fmt)
+    return _render_entries(plan.entries, fmt)
 
 
 _KIND_NAMES = {(int,): "an integer", (int, float): "a number", (str,): "a string"}
@@ -219,10 +200,11 @@ def _plan_entry(entry: dict) -> PlanEntry:
     )
 
 
-def plan_document_from_json(data: bytes) -> PlanDocument:
-    """Inverse of the JSON rendering; round-trips exactly."""
+def plan_document_from_json(data: bytes | str) -> PlanDocument:
+    """Inverse of the JSON rendering; round-trips exactly.  Bytes must
+    be UTF-8."""
     try:
-        doc = json.loads(data.decode("utf-8"))
+        doc = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
     except _JSON_ERRORS as exc:
         raise ValidationError(f"not a plan document: {exc}") from exc
     try:

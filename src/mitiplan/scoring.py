@@ -28,6 +28,17 @@ from .catalog import (
 from .errors import ParseError, ValidationError
 
 
+def _real(value, label: str) -> float:
+    """A real number, bool excluded, as a float: an infinity of its sign
+    past float range."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{label} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 @dataclass(frozen=True, slots=True)
 class WeightEntry:
     """One technique's weight.  The ID and name are checked here, as the
@@ -63,15 +74,8 @@ class WeightVector:
     def __init__(self, entries):
         tids, weights, names, seen = [], [], [], set()
         for entry in entries:
-            tid, weight = entry.technique_id, entry.weight
-            if isinstance(weight, bool) or not isinstance(weight, numbers.Real):
-                raise ValidationError(
-                    f"weight for {tid} must be a real number, got {weight!r}"
-                )
-            try:
-                weight = float(weight)
-            except OverflowError:
-                weight = math.inf
+            tid = entry.technique_id
+            weight = _real(entry.weight, f"weight for {tid}")
             if not 0 < weight < math.inf:
                 raise ValidationError(
                     f"weight for {tid} must be finite and positive, got {weight}"
@@ -195,6 +199,7 @@ class RiskInputs:
 
     ``threat`` and ``vulnerability`` are probabilities in [0, 1];
     ``impact`` is a finite nonnegative magnitude in organization-defined units.
+    Each is a real number, not a bool, and is stored as a float.
     """
 
     threat: float
@@ -202,6 +207,8 @@ class RiskInputs:
     impact: float
 
     def __post_init__(self):
+        for label in ("threat", "vulnerability", "impact"):
+            _set(self, label, _real(getattr(self, label), label))
         for label in ("threat", "vulnerability"):
             value = getattr(self, label)
             if not 0.0 <= value <= 1.0:
@@ -314,6 +321,10 @@ class CvssVector:
             raise ValidationError("privileges_required must be a PrivilegesRequired")
         if not isinstance(self.user_interaction, UserInteraction):
             raise ValidationError("user_interaction must be a UserInteraction")
+        if not isinstance(self.scope_changed, bool):
+            raise ValidationError(
+                f"scope_changed must be a bool, got {self.scope_changed!r}"
+            )
 
 
 def cvss_exploitability(vector: CvssVector) -> float:

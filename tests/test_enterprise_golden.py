@@ -31,7 +31,8 @@ from mitiplan.catalog import (
 )
 from mitiplan.cli import run
 from mitiplan.matrix import build_decision_matrix, export_matrix_csv
-from mitiplan.mcdm import score_matrix
+from mitiplan.mcdm import rank, score_matrix, wsm_scores
+from mitiplan.report import render_plan
 from mitiplan.scoring import render_weights_csv
 from mitiplan.simulator import Campaign, random_baseline
 
@@ -77,7 +78,8 @@ def test_matrix_csv_golden(enterprise):
     assert _sha256(export_matrix_csv(matrix)) == MATRIX_CSV_SHA256
 
 
-def test_wsm_plan_json_golden(enterprise, tmp_path):
+def _run_rank(enterprise, tmp_path, fmt="json") -> bytes:
+    """The bytes ``mitiplan rank`` writes for the Enterprise inputs."""
     catalog, weights = enterprise
     save_catalog(catalog, tmp_path / "catalog.json")
     (tmp_path / "weights.csv").write_bytes(render_weights_csv(weights))
@@ -89,11 +91,32 @@ def test_wsm_plan_json_golden(enterprise, tmp_path):
         str(tmp_path / "catalog.json"),
         "--weights",
         str(tmp_path / "weights.csv"),
+        "--format",
+        fmt,
         "--out",
-        str(tmp_path / "plan.json"),
+        str(tmp_path / "plan"),
     ]
     assert run(argv) == 0
-    assert _sha256((tmp_path / "plan.json").read_bytes()) == PLAN_JSON_SHA256
+    return (tmp_path / "plan").read_bytes()
+
+
+def test_wsm_plan_json_golden(enterprise, tmp_path):
+    assert _sha256(_run_rank(enterprise, tmp_path)) == PLAN_JSON_SHA256
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "md"])
+def test_cli_plan_is_the_ranked_plan_rendered(enterprise, tmp_path, fmt):
+    # The ranked plan carries its catalog's names, odd ones included, so
+    # the command prints it as the library renders it.
+    catalog, weights = enterprise
+    matrix = build_decision_matrix(catalog, weights)
+    plan = rank(wsm_scores(matrix), matrix)
+    rows = map(catalog.mitigation_index.get, plan.mitigation_order())
+    names = [catalog.mnames[row] for row in rows]
+    assert [entry.name for entry in plan.entries] == names
+    assert any('"' in name for name in names) and any("\n" in name for name in names)
+    expected = render_plan(plan, {"md": "markdown"}.get(fmt, fmt), timestamp=1700000000)
+    assert _run_rank(enterprise, tmp_path, fmt) == expected
 
 
 # (techniques, k, fewest covers, mean, std) over 3,000 trials of seed

@@ -1,16 +1,42 @@
-"""The README's library example runs as written."""
+"""The README's examples run as written and print what it shows."""
 
 from __future__ import annotations
 
 import re
+import shlex
 from pathlib import Path
+
+from mitiplan.cli import run
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
-def test_library_use_example_runs(capsys):
+def _section(title: str) -> str:
     text = README.read_text(encoding="utf-8")
-    match = re.search(r"^## Library use\n\n```python\n(.*?)^```", text, re.M | re.S)
+    match = re.search(rf"^## {title}\n(.*?)(?=^## )", text, re.M | re.S)
+    assert match, f"README has no '## {title}' section"
+    return match.group(1)
+
+
+def test_library_use_example_runs(capsys):
+    match = re.search(r"^```python\n(.*?)^```", _section("Library use"), re.M | re.S)
     assert match, "README has no python block under '## Library use'"
     exec(compile(match.group(1), f"{README}:Library use", "exec"), {})
     assert capsys.readouterr().out == "M1026 4.476\n"
+
+
+def test_quick_start_prints_what_it_shows(tmp_path, monkeypatch, capsysbinary):
+    # Each sh block is followed by a plain block holding the stdout of the
+    # block's last command; the blocks run in order in one directory.
+    pairs = re.findall(
+        r"^```sh\n(.*?)^```\n\n```\n(.*?)^```", _section("Quick start"), re.M | re.S
+    )
+    assert len(pairs) == 2, "expected two sh blocks, each with its output"
+    monkeypatch.chdir(tmp_path)
+    for script, shown in pairs:
+        for command in script.replace("\\\n", " ").splitlines():
+            program, *argv = shlex.split(command)
+            assert program == "mitiplan"
+            capsysbinary.readouterr()
+            assert run(argv) == 0, command
+        assert capsysbinary.readouterr().out.decode("utf-8") == shown

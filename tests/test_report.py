@@ -5,6 +5,7 @@ import io
 import json
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -35,6 +36,17 @@ def v13_plan(v13_matrix):
     return rank(wsm_scores(v13_matrix), v13_matrix)
 
 
+def _with_names(plan: RankedPlan, names: dict[str, str]) -> RankedPlan:
+    """``plan`` with ``names`` on the entries of those mitigations."""
+    return replace(
+        plan,
+        entries=tuple(
+            replace(entry, name=names.get(entry.mitigation_id, entry.name))
+            for entry in plan.entries
+        ),
+    )
+
+
 @pytest.fixture(scope="module")
 def published_plan():
     matrix = published_matrix()
@@ -45,6 +57,22 @@ class TestJson:
     def test_round_trip_is_exact(self, v13_plan):
         doc = build_plan_document(v13_plan, timestamp=PINNED)
         assert plan_document_from_json(render_plan_document(doc, "json")) == doc
+
+    def test_str_reads_as_its_utf8_bytes(self, v13_plan):
+        named = _with_names(v13_plan, {"M1026": "Tâche \u2028計画 \U0001f512"})
+        data = render_plan(named, "json", timestamp=PINNED)
+        doc = plan_document_from_json(data)
+        assert doc.entries == named.entries
+        assert plan_document_from_json(data.decode("utf-8")) == doc
+
+    @pytest.mark.parametrize("text", ["{", "[]", '{"entries": []}', '{"entries": [1]}'])
+    def test_str_is_rejected_as_its_bytes_are(self, text):
+        with pytest.raises(ValidationError) as from_bytes:
+            plan_document_from_json(text.encode("utf-8"))
+        with pytest.raises(ValidationError) as from_text:
+            plan_document_from_json(text)
+        assert str(from_text.value) == str(from_bytes.value)
+        assert str(from_text.value).startswith("not a plan document: ")
 
     def test_pinned_timestamp_is_byte_stable(self, v13_plan):
         first = render_plan(v13_plan, "json", timestamp=PINNED)
@@ -156,9 +184,11 @@ class TestJson:
             plan_document_from_json(b'{"timestamp": ' + b"1" * 5000 + b"}")
 
     def test_entries_carry_names(self, v13_plan):
-        doc = build_plan_document(v13_plan, names={"M1026": "PAM"}, timestamp=PINNED)
+        named = _with_names(v13_plan, {"M1026": "PAM"})
+        doc = build_plan_document(named, timestamp=PINNED)
         assert doc.entries[0].name == "PAM"
         assert doc.entries[1:] == v13_plan.entries[1:]
+        assert doc.entries == named.entries
 
     def test_default_timestamp_is_current(self, v13_plan):
         doc = build_plan_document(v13_plan)
@@ -170,11 +200,21 @@ class TestTextFormats:
     def test_plan_renders_as_its_document_does(self, v13_plan, fmt):
         # render_plan skips the document, and so the hashes, for the text
         # formats; the bytes are the document's.
-        names = {"M1026": "PAM", "M1038": 'a "quoted", name'}
-        doc = build_plan_document(v13_plan, names=names, timestamp=PINNED)
+        named = _with_names(v13_plan, {"M1026": "PAM", "M1038": 'a "quoted", name'})
+        doc = build_plan_document(named, timestamp=PINNED)
         expected = render_plan_document(doc, fmt)
-        assert render_plan(v13_plan, fmt, names=names, timestamp=PINNED) == expected
-        assert render_plan(v13_plan, fmt, names=names) == expected
+        assert render_plan(named, fmt, timestamp=PINNED) == expected
+        assert render_plan(named, fmt) == expected
+
+    def test_names_on_entries_render_in_every_format(self, v13_plan):
+        named = _with_names(v13_plan, {"M1026": "PAM", "M1038": 'a "quoted", name'})
+        data = render_plan(named, "json", timestamp=PINNED)
+        assert plan_document_from_json(data).entries == named.entries
+        rows = list(csv.reader(io.StringIO(render_plan(named, "csv").decode())))
+        assert [row[2] for row in rows[1:3]] == ["PAM", 'a "quoted", name']
+        lines = render_plan(named, "markdown").decode().splitlines()
+        assert lines[2].startswith("| 1 | M1026 | PAM | ")
+        assert lines[3].startswith('| 2 | M1038 | a "quoted", name | ')
 
     @pytest.mark.parametrize("fmt", ["json", "csv", "markdown"])
     def test_negative_timestamp_rejected_in_every_format(self, v13_plan, fmt):
@@ -215,12 +255,8 @@ class TestCsv:
         assert lines[1] == "1,M1026,,3.281011,T1047;T1053;T1055;T1059;T1218"
 
     def test_names_fill_name_column(self, published_plan):
-        names = {"M1026": "Privileged Account Management"}
-        lines = (
-            render_plan(published_plan, "csv", names=names, timestamp=PINNED)
-            .decode()
-            .splitlines()
-        )
+        named = _with_names(published_plan, {"M1026": "Privileged Account Management"})
+        lines = render_plan(named, "csv", timestamp=PINNED).decode().splitlines()
         assert lines[1].split(",")[2] == "Privileged Account Management"
 
     def test_empty_plan_renders_header_only(self):
@@ -246,8 +282,8 @@ class TestCsvFieldRule:
     a bare CR."""
 
     def test_cr_in_name_reads_back(self, v13_plan):
-        names = {"M1026": "a\rb", "M1038": 'x,"y"\r\nz'}
-        data = render_plan(v13_plan, "csv", names=names, timestamp=PINNED)
+        named = _with_names(v13_plan, {"M1026": "a\rb", "M1038": 'x,"y"\r\nz'})
+        data = render_plan(named, "csv", timestamp=PINNED)
         rows = list(csv.reader(io.StringIO(data.decode("utf-8"), newline="")))
         assert len(rows) == 1 + len(v13_plan.entries)
         assert rows[1][:3] == ["1", "M1026", "a\rb"]

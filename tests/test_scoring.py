@@ -94,6 +94,7 @@ class TestWeights:
             ([("T1059", 1.0), ("T1053", "2.0")], "weight for T1053 must be a real number, got '2.0'"),
             ([("T1053", None), ("T1059", "x")], "weight for T1053 must be a real number, got None"),
             ([("T1053", 10**400)], "weight for T1053 must be finite and positive, got inf"),
+            ([("T1053", -(10**400))], "weight for T1053 must be finite and positive, got -inf"),
         ],
     )
     def test_direct_construction_error_messages(self, entries, message):
@@ -213,6 +214,44 @@ class TestRiskFactor:
         with pytest.raises(ValidationError):
             RiskInputs(threat, vuln, impact)
 
+    @pytest.mark.parametrize(
+        "args, label, value",
+        [
+            (("0.5", 0.5, 1), "threat", "0.5"),
+            ((0.5, 0.5, None), "impact", None),
+            ((True, True, 3), "threat", True),
+            ((0.5, False, 3), "vulnerability", False),
+            ((0.5, 0.5, True), "impact", True),
+            ((0.5, [0.5], 1.0), "vulnerability", [0.5]),
+            ((0.5, 0.5, 1j), "impact", 1j),
+        ],
+    )
+    def test_field_that_is_not_a_real_number_rejected(self, args, label, value):
+        with pytest.raises(ValidationError) as info:
+            RiskInputs(*args)
+        assert str(info.value) == f"{label} must be a real number, got {value!r}"
+
+    def test_fields_stored_as_floats(self):
+        inputs = RiskInputs(1, np.float32(0.5), Fraction(3, 1))
+        assert (inputs.threat, inputs.vulnerability, inputs.impact) == (1.0, 0.5, 3.0)
+        for value in (inputs.threat, inputs.vulnerability, inputs.impact):
+            assert type(value) is float
+        product = risk_factor(RiskInputs(1, 1, 3))
+        assert product == 3.0 and type(product) is float
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((0.5, 0.5, 10**400), "impact must be finite and nonnegative, got inf"),
+            ((0.5, 0.5, -(10**400)), "impact must be finite and nonnegative, got -inf"),
+            ((-(10**400), 0.5, 1), "threat probability must be in [0, 1], got -inf"),
+        ],
+    )
+    def test_past_float_range_is_an_infinity_of_its_sign(self, args, message):
+        with pytest.raises(ValidationError) as info:
+            RiskInputs(*args)
+        assert str(info.value) == message
+
 
 class TestCvss:
     def test_reference_vector(self):
@@ -250,6 +289,18 @@ class TestCvss:
         )
         ratio = cvss_exploitability(changed) / cvss_exploitability(unchanged)
         assert ratio == pytest.approx(0.5 / 0.27)
+
+    @pytest.mark.parametrize("scope_changed", ["yes", None, 1, 0, np.bool_(True)])
+    def test_scope_changed_that_is_not_a_bool_rejected(self, scope_changed):
+        with pytest.raises(ValidationError) as info:
+            CvssVector(
+                AttackVector.NETWORK,
+                AttackComplexity.LOW,
+                PrivilegesRequired.LOW,
+                UserInteraction.NONE,
+                scope_changed,
+            )
+        assert str(info.value) == f"scope_changed must be a bool, got {scope_changed!r}"
 
     def test_parse_levels(self):
         assert parse_cvss_level(AttackVector, "N") is AttackVector.NETWORK
