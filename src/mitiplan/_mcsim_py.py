@@ -1,4 +1,4 @@
-"""Batch steps-to-block kernel for the Monte Carlo baseline.
+"""The Monte Carlo baseline's scratch budget and steps-to-block kernel.
 
 Works from order statistics instead of walking each order step by step:
 a technique is blocked at the step that applies its `threshold`-th
@@ -11,9 +11,17 @@ from __future__ import annotations
 
 import numpy as np
 
-# Trials handled per pass.  Scratch memory grows with this, not with the
-# trial count.
-_ROW_BLOCK = 1024
+# Scratch memory any Monte Carlo pass (a lane pool, a swap block, a
+# kernel pass) may hold, whatever the trial count: 1.125 MiB.  Each fits
+# as many trials as their bytes allow, for the fewest NumPy calls a trial.
+SCRATCH_BYTES = 9 * 2**17
+
+
+def _pool_width(trials: int, lane_bytes: int, shared: int = 0) -> int:
+    """Trials in a pass (lanes in a pool) that hold `lane_bytes` each,
+    beside `shared` bytes kept for all of them: as many as the rest of
+    SCRATCH_BYTES holds, but at least one, and no more than `trials`."""
+    return min(trials, max(1, (SCRATCH_BYTES - shared) // lane_bytes))
 
 
 def steps_to_block_batch(orders, covers, threshold, out):
@@ -26,26 +34,33 @@ def steps_to_block_batch(orders, covers, threshold, out):
     """
     trials, m = orders.shape
     threshold = int(threshold)
-    covering = [np.flatnonzero(column) for column in np.asarray(covers).T]
-    if not covering or any(rows.size < threshold for rows in covering):
+    counts = np.count_nonzero(covers, axis=0)
+    if not trials or not counts.size or counts.min() < threshold:
         out[:] = -1
         return
-    rows_max = min(trials, _ROW_BLOCK)
-    tiled_steps = np.tile(np.arange(1, m + 1, dtype=np.int32), rows_max)
-    row_start = np.arange(0, rows_max * m, m)[:, None]
-    positions = np.empty((rows_max, m), dtype=np.int32)
-    for first in range(0, trials, _ROW_BLOCK):
-        block = orders[first : first + _ROW_BLOCK]
-        n = block.shape[0]
+    # A row of a pass holds its step positions and numbers (4m bytes
+    # each), row offset (8) and block step (4), then its flat scatter
+    # index (8m) or one technique's cover steps, gathered and partitioned
+    # (8 per cover, at most 8m).  Every technique's cover rows, end to end,
+    # and NumPy's buffer for the offsets' broadcast come off the budget.
+    cover_rows = np.flatnonzero(np.asarray(covers).T) % m
+    ends = np.cumsum(counts).tolist()
+    width = _pool_width(trials, 16 * m + 12, cover_rows.nbytes + 8 * np.getbufsize())
+    tiled_steps = np.tile(np.arange(1, m + 1, dtype=np.int32), width)
+    row_start = np.arange(0, width * m, m)[:, None]
+    positions = np.empty((width, m), dtype=np.int32)
+    for first in range(0, trials, width):
+        n = min(width, trials - first)
         # positions[k, row] = the step at which trial k applies `row`.
         pos = positions[:n]
-        pos.reshape(-1)[(block + row_start[:n]).ravel()] = tiled_steps[: n * m]
+        pos.reshape(-1)[(orders[first : first + n] + row_start[:n]).ravel()] = tiled_steps[: n * m]
         blocked_at = np.zeros(n, dtype=np.int32)
-        for rows in covering:
-            cover_steps = pos[:, rows]
+        for lo, hi in zip([0] + ends, ends):
+            cover_steps = pos[:, cover_rows[lo:hi]]
             if threshold == 1:
                 step = cover_steps.min(axis=1)
             else:
                 step = np.partition(cover_steps, threshold - 1, axis=1)[:, threshold - 1]
             np.maximum(blocked_at, step, out=blocked_at)
         out[first : first + n] = blocked_at
+        del cover_steps, step  # before the next pass's scatter index

@@ -13,8 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .catalog import _is_integer
 from .errors import McdmError, ValidationError
 from .matrix import NO_PROVENANCE, DecisionMatrix, Provenance
+from .scoring import _real
 
 METHODS = ("wsm", "wpm", "topsis")
 
@@ -88,6 +90,8 @@ class RankedPlan:
 
     def top(self, k: int) -> "RankedPlan":
         """Plan truncated to its first ``k`` entries."""
+        if not _is_integer(k):
+            raise ValidationError(f"top k must be an integer, got {k!r}")
         if k < 0:
             raise ValidationError("top k must be nonnegative")
         return RankedPlan(
@@ -125,6 +129,7 @@ def wpm_scores(
         raise ValidationError(
             f"zero_policy must be 'error' or 'epsilon', got {zero_policy!r}"
         )
+    _real(epsilon, "epsilon")
     if not epsilon > 0:
         raise ValidationError(f"epsilon must be positive, got {epsilon}")
     cells = np.array(matrix.coverage)
@@ -192,14 +197,15 @@ def topsis_scores(matrix: DecisionMatrix) -> ScoreVector:
 
 
 def score_matrix(matrix: DecisionMatrix, method: str, **kwargs) -> ScoreVector:
-    """Dispatch to one of the scoring methods by name."""
-    if method == "wsm":
-        return wsm_scores(matrix, **kwargs)
-    if method == "wpm":
-        return wpm_scores(matrix, **kwargs)
-    if method == "topsis":
-        return topsis_scores(matrix, **kwargs)
-    raise ValidationError(f"unknown method {method!r} (expected one of {METHODS})")
+    """Dispatch to one of the scoring methods by name; only wpm takes
+    options, its `zero_policy` and `epsilon`."""
+    if method not in METHODS:
+        raise ValidationError(f"unknown method {method!r} (expected one of {METHODS})")
+    unknown = sorted(set(kwargs) - ({"zero_policy", "epsilon"} if method == "wpm" else set()))
+    if unknown:
+        raise ValidationError(f"{method} takes no option {unknown[0]!r}")
+    scorer = {"wsm": wsm_scores, "wpm": wpm_scores, "topsis": topsis_scores}[method]
+    return scorer(matrix, **kwargs)
 
 
 def rank(scores: ScoreVector, matrix: DecisionMatrix) -> RankedPlan:

@@ -20,6 +20,7 @@ from itertools import repeat
 import numpy as np
 
 from . import _mcsim_py as _kernel
+from ._mcsim_py import SCRATCH_BYTES, _pool_width
 from .catalog import Catalog, _is_integer, parse_mitigation_id, parse_technique_id
 from .errors import SimulationError, ValidationError
 from .mcdm import RankedPlan
@@ -39,6 +40,8 @@ class Campaign:
     block_threshold: int = 1
 
     def __post_init__(self):
+        if isinstance(self.techniques, str):
+            raise ValidationError("campaign techniques must be a sequence of IDs, not a string")
         object.__setattr__(self, "techniques", tuple(self.techniques))
         if not self.techniques:
             raise ValidationError("campaign needs at least one technique")
@@ -78,10 +81,6 @@ class SimulationResult:
                 "coverage curve must end at 1.0 exactly when the campaign blocks"
             )
 
-    @property
-    def blocked(self) -> bool:
-        return self.steps_to_block is not None
-
     def block_step(self, technique_id: str) -> int | None:
         for tid, step in self.per_technique_block_step:
             if tid == technique_id:
@@ -108,6 +107,9 @@ class MonteCarloSummary:
     unblocked_fraction: float
 
     def __post_init__(self):
+        for name, value in (("trials", self.trials), ("seed", self.seed)):
+            if not _is_integer(value):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
         if self.trials < 1:
             raise ValidationError("trials must be >= 1")
         if not 0 <= self.seed <= MAX_SEED:
@@ -239,24 +241,11 @@ _PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint
 # Where a 64-bit word's low and high 32-bit halves sit in its uint32 view.
 _HALVES = (0, 1) if sys.byteorder == "little" else (1, 0)
 
-# Scratch memory a lane pool may hold, whatever the trial count: 1.125 MiB.
-# Each walk fits as many lanes as its own bytes per lane allow, so a walk
-# with lean lanes runs more trials per round, and so makes fewer NumPy
-# calls per trial, while a walk with wide lanes holds no more memory.
-SCRATCH_BYTES = 9 * 2**17
-
 # Bytes every lane holds at a pool's peak: its state (slot, trial,
 # counter, i and row offset, 8 bytes each) and its share of a round's
 # temporaries, the Philox block in flight and the arrays made for each
 # word it tests.  tracemalloc puts the whole at 171 to 175 bytes.
 _LANE_BYTES = 192
-
-
-def _pool_width(trials: int, lane_bytes: int, shared: int = 0) -> int:
-    """Lanes in a pool whose lanes hold `lane_bytes` each, beside
-    `shared` bytes the walk keeps for all of them: as many as the rest of
-    SCRATCH_BYTES holds, but at least one, and no more than `trials`."""
-    return min(trials, max(1, (SCRATCH_BYTES - shared) // lane_bytes))
 
 
 def _mulhi(a, b_lo, b_hi):

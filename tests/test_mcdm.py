@@ -118,6 +118,13 @@ class TestWpm:
         with pytest.raises(ValidationError):
             wpm_scores(v13_matrix, zero_policy="epsilon", epsilon=0.0)
 
+    @pytest.mark.parametrize("epsilon", ["x", True, None])
+    def test_epsilon_that_is_not_a_real_number_rejected(self, v13_matrix, epsilon):
+        # True used to be read as 1, and a string raised TypeError.
+        with pytest.raises(ValidationError) as info:
+            wpm_scores(v13_matrix, "epsilon", epsilon)
+        assert str(info.value) == f"epsilon must be a real number, got {epsilon!r}"
+
 
 class TestTopsis:
     def test_identical_rows_share_closeness(self):
@@ -268,6 +275,15 @@ class TestRank:
         assert top3.entries == plan.entries[:3]
         assert plan.top(99).entries == plan.entries
         assert plan.top(0).entries == ()
+        assert plan.top(np.int64(2)).entries == plan.entries[:2]
+
+    @pytest.mark.parametrize("k", [True, 1.5, "3", None])
+    def test_truncation_needs_an_integer(self, v13_matrix, k):
+        # True used to keep one entry, and 1.5 raised TypeError.
+        plan = rank(wsm_scores(v13_matrix), v13_matrix)
+        with pytest.raises(ValidationError) as info:
+            plan.top(k)
+        assert str(info.value) == f"top k must be an integer, got {k!r}"
 
 
 class TestTypes:
@@ -297,3 +313,16 @@ class TestTypes:
         assert score_matrix(v13_matrix, "topsis").method == "topsis"
         with pytest.raises(ValidationError):
             score_matrix(v13_matrix, "ahp")
+
+    @pytest.mark.parametrize(
+        "method, option",
+        [("wsm", "zero_policy"), ("topsis", "epsilon"), ("wpm", "zero")],
+    )
+    def test_score_matrix_rejects_options_its_method_lacks(self, v13_matrix, method, option):
+        # wsm_scores() and topsis_scores() take no options, so the option
+        # used to raise TypeError from inside them.
+        with pytest.raises(ValidationError) as info:
+            score_matrix(v13_matrix, method, **{option: "error"})
+        assert str(info.value) == f"{method} takes no option {option!r}"
+        options = {"zero_policy": "epsilon", "epsilon": 1e-6}
+        assert score_matrix(v13_matrix, "wpm", **options) == wpm_scores(v13_matrix, **options)

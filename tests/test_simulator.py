@@ -73,6 +73,12 @@ class TestCampaign:
         campaign = Campaign(techniques=["T1059", "T1112"])
         assert campaign.techniques == ("T1059", "T1112")
 
+    def test_string_of_techniques_rejected(self):
+        # A string is a sequence too, of characters: "T" is no technique.
+        with pytest.raises(ValidationError) as info:
+            Campaign(techniques="T1053")
+        assert str(info.value) == "campaign techniques must be a sequence of IDs, not a string"
+
 
 class TestResolveCampaign:
     def test_members_pass_through_sorted(self, v13_catalog):
@@ -98,7 +104,6 @@ class TestSimulateCampaign:
         campaign = Campaign(techniques=("T1053", "T1059"), block_threshold=1)
         result = simulate_campaign(v13_plan, v13_catalog, campaign)
         assert result.steps_to_block == 1
-        assert result.blocked
         assert result.per_technique_block_step == (("T1053", 1), ("T1059", 1))
 
     def test_subtechnique_spelling_gives_identical_result(self, v13_plan, v13_catalog):
@@ -122,7 +127,6 @@ class TestSimulateCampaign:
         campaign = Campaign(techniques=("T1112",))
         result = simulate_campaign(order, v13_catalog, campaign)
         assert result.steps_to_block is None
-        assert not result.blocked
         assert result.per_technique_block_step == (("T1112", None),)
         assert result.coverage_curve[-1][1] < 1.0
 
@@ -590,12 +594,16 @@ class TestWalks:
         # its counts take four words; at m = 1000, t = 100 they take
         # twelve, and the 96 kB table of packed covers comes out of the
         # budget before the pool, 419 lanes, is sized: 500 trials fill it.
+        # The steps-to-block kernel's passes hold the same budget past
+        # their arguments, at k = 1 and 2: at m = 1000 a pass is 66 rows.
         covers = _random_covers(45, 20, seed=2, density=0.08)
         wide = _random_covers(257, 3, seed=2, density=0.05)
         many = _random_covers(100, 60, seed=2, density=0.05)
+        mid = _random_covers(300, 40, seed=2, density=0.05)
         large = _random_covers(1000, 100, seed=2, density=0.05)
-        for case in (covers, wide, many, large):
+        for case in (covers, wide, many, mid, large):
             case[:2] = 1
+        budget = 1.02 * simulator.SCRATCH_BYTES
         for walk, args in (
             (trial_orders, (45, 12000)),
             (backward_steps, (covers, 2, 12000)),
@@ -603,13 +611,14 @@ class TestWalks:
             (backward_steps, (many, 2, 12000)),
             (backward_steps, (large, 2, 500)),
         ):
-            tracemalloc.start()
-            try:
-                out = walk(*args, 11)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak - out.nbytes <= 1.02 * simulator.SCRATCH_BYTES
+            out, peak = _traced_peak(walk, *args, 11)
+            assert peak - out.nbytes <= budget
+        for case in (covers, mid, large):
+            orders = trial_orders(case.shape[0], 3000, 11)
+            out = np.empty(3000, dtype=np.int64)
+            for threshold in (1, 2):
+                _, peak = _traced_peak(_mcsim_py.steps_to_block_batch, orders, case, threshold, out)
+                assert peak <= budget, (case.shape, threshold)
 
     @pytest.mark.parametrize("lanes", [1, 2, 7])
     @pytest.mark.parametrize("threshold", [1, 2])
@@ -724,6 +733,15 @@ def _pin_width(patch, lanes):
     return asked
 
 
+def _traced_peak(call, *args):
+    """call(*args) and the peak of the memory tracemalloc saw it hold."""
+    tracemalloc.start()
+    try:
+        return call(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def _backward_lane_bytes(m, words):
     """Bytes per lane of the backward walk's pool: the forward lane's
     state, a prefix row of cells no wider than m needs, four rows of
@@ -784,6 +802,36 @@ def _run_kernel(orders, covers, threshold):
     return out.tolist()
 
 
+def _row_by_row(orders, covers, threshold):
+    return [_run_kernel(order[None], covers, threshold)[0] for order in orders]
+
+
+def _spy_kernel_widths(patch):
+    """Record each kernel call's bytes per row and shared bytes, and
+    the pass width `_pool_width` gives it, in two lists."""
+    real = _mcsim_py._pool_width
+    asked, widths = [], []
+
+    def spy(trials, row_bytes, shared=0):
+        asked.append((row_bytes, shared))
+        widths.append(real(trials, row_bytes, shared))
+        return widths[-1]
+
+    patch.setattr(_mcsim_py, "_pool_width", spy)
+    return asked, widths
+
+
+def _shrink_kernel_passes(patch, covers, threshold, rows):
+    """Shrink SCRATCH_BYTES, where `_pool_width` reads it, until one
+    kernel pass over `covers` holds `rows` trials; returns the list of
+    pass widths the kernel's later calls get."""
+    asked, widths = _spy_kernel_widths(patch)
+    _run_kernel(np.arange(covers.shape[0])[None], covers, threshold)
+    row_bytes, shared = asked[-1]
+    patch.setattr(_mcsim_py, "SCRATCH_BYTES", shared + rows * row_bytes)
+    return widths
+
+
 def _random_covers(m, t, seed, density=0.4):
     return (np.random.default_rng(seed).random((m, t)) < density).astype(np.uint8)
 
@@ -817,10 +865,34 @@ class TestKernel:
 
     @pytest.mark.parametrize("extra", [-1, 0, 1])
     def test_matches_oracle_at_block_boundaries(self, extra):
-        trials = _mcsim_py._ROW_BLOCK + extra
+        # A budget shrunk to 7 rows a pass puts the batch one row short
+        # of a pass, at exactly one pass and one row past it.
         covers = _random_covers(9, 3, seed=8)
-        orders = trial_orders(9, trials, seed=extra + 1)
-        assert _run_kernel(orders, covers, 2) == _oracle_batch(orders, covers, 2)
+        orders = trial_orders(9, 7 + extra, seed=extra + 1)
+        with pytest.MonkeyPatch.context() as patch:
+            widths = _shrink_kernel_passes(patch, covers, 2, 7)
+            assert _run_kernel(orders, covers, 2) == _oracle_batch(orders, covers, 2)
+            assert widths[-1] == min(7, 7 + extra)
+            assert _run_kernel(orders, covers, 2) == _row_by_row(orders, covers, 2)
+
+    def test_pass_width_on_paper_v13(self, v13_catalog):
+        # The README's figure: rows of 16m + 12 = 300 bytes fill what the
+        # budget leaves past the campaign's 11 cover rows and NumPy's
+        # 64 KiB broadcast buffer.
+        campaign = Campaign(techniques=("T1053", "T1059"))
+        with pytest.MonkeyPatch.context() as patch:
+            asked, widths = _spy_kernel_widths(patch)
+            random_baseline(v13_catalog, campaign, trials=10000, seed=42)
+        assert asked == [(300, 11 * 8 + 8 * 8192)]
+        assert widths == [3713]
+
+    def test_zero_trials(self):
+        # `_pool_width` sizes a pass of no trials at 0 rows.
+        covers = _random_covers(9, 3, seed=8)
+        covers[0] = 1
+        for threshold in (1, 2):
+            assert _run_kernel(trial_orders(9, 0, seed=1), covers, threshold) == []
+        assert forward_steps(covers, 1, 0, seed=1).shape == (0,)
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -839,16 +911,17 @@ class TestKernel:
         assert _run_kernel(orders, covers, threshold) == expected
 
     def test_rows_independent_of_batch(self):
-        # The kernel works a block of rows at a time in a reused buffer;
-        # a batch spanning several blocks must match row-by-row calls.
+        # The kernel works a pass of rows at a time in reused buffers; a
+        # batch of three 7-row passes and a ragged 3-row one must match
+        # the oracle and row-by-row calls.
         covers = _random_covers(9, 3, seed=607)
-        orders = trial_orders(9, 2 * _mcsim_py._ROW_BLOCK + 3, seed=5)
-        batch = np.empty(orders.shape[0], dtype=np.int64)
-        _mcsim_py.steps_to_block_batch(orders, covers, 2, batch)
-        single = np.empty(1, dtype=np.int64)
-        for k, order in enumerate(orders):
-            _mcsim_py.steps_to_block_batch(order[None], covers, 2, single)
-            assert batch[k] == single[0]
+        orders = trial_orders(9, 3 * 7 + 3, seed=5)
+        with pytest.MonkeyPatch.context() as patch:
+            widths = _shrink_kernel_passes(patch, covers, 2, 7)
+            batch = _run_kernel(orders, covers, 2)
+            assert widths[-1] == 7
+            assert batch == _oracle_batch(orders, covers, 2)
+            assert batch == _row_by_row(orders, covers, 2)
 
 
 class TestCompareOrders:
@@ -894,6 +967,16 @@ class TestResultTypes:
                 per_technique_block_step=(("T1059", None),),
                 coverage_curve=((1, 1.0),),
             )
+
+    @pytest.mark.parametrize(
+        "field, value", [("trials", True), ("trials", 10.0), ("seed", "x"), ("seed", False)]
+    )
+    def test_monte_carlo_summary_counts_are_integers(self, field, value):
+        fields = dict(trials=10, seed=1, mean_steps=3.0, std_steps=1.0, unblocked_fraction=0.0)
+        fields[field] = value
+        with pytest.raises(ValidationError) as info:
+            MonteCarloSummary(**fields)
+        assert str(info.value) == f"{field} must be an integer, got {value!r}"
 
     def test_monte_carlo_summary_invariants(self):
         with pytest.raises(ValidationError):
