@@ -651,6 +651,8 @@ def _read_rows(data: bytes | str, label: str, header: str) -> list[tuple[int, li
             data = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ParseError(f"{label}: not valid UTF-8: {exc}") from exc
+    elif not isinstance(data, str):
+        raise ValidationError(f"{label} must be bytes or str, got {type(data).__name__}")
     reader = csv.reader(io.StringIO(data.removeprefix("\ufeff"), newline=""), strict=True)
     rows = []
     try:

@@ -26,7 +26,7 @@ from .catalog import (
 from .errors import MitiplanError, ValidationError
 from .fixtures import FIXTURE_NAMES, emit_fixture
 from .matrix import build_decision_matrix, export_matrix_csv
-from .mcdm import METHODS, rank, score_matrix
+from .mcdm import METHODS, _ranked_rows, rank, score_matrix
 from .report import render_plan
 from .scoring import (
     AttackComplexity,
@@ -135,10 +135,11 @@ def _format_steps(steps: int | None) -> str:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     catalog, matrix = _load_matrix(args)
     scores = score_matrix(matrix, args.method)
-    plan = rank(scores, matrix)
+    # The order `rank` gives, without the plan entries nothing here prints.
+    order = tuple(scores.mitigation_ids[i] for i in _ranked_rows(scores))
     techniques = tuple(part.strip() for part in args.campaign.split(",") if part.strip())
     campaign = Campaign(techniques=techniques, block_threshold=args.k)
-    report = compare_orders(plan, catalog, campaign, trials=args.trials, seed=args.seed)
+    report = compare_orders(order, catalog, campaign, trials=args.trials, seed=args.seed)
     baseline = report.baseline
     if args.out:
         provenance = {

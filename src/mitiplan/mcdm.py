@@ -208,6 +208,16 @@ def score_matrix(matrix: DecisionMatrix, method: str, **kwargs) -> ScoreVector:
     return scorer(matrix, **kwargs)
 
 
+def _ranked_rows(scores: ScoreVector) -> list[int]:
+    """Row positions in plan order: descending score rounded to
+    ``TIE_DECIMALS``, then ascending mitigation ID.  ``simulate`` walks
+    this order without building the plan's entries."""
+    return sorted(
+        range(len(scores.scores)),
+        key=lambda i: (-round(scores.scores[i], TIE_DECIMALS), scores.mitigation_ids[i]),
+    )
+
+
 def rank(scores: ScoreVector, matrix: DecisionMatrix) -> RankedPlan:
     """Order mitigations by descending score into a ranked plan.
 
@@ -220,10 +230,7 @@ def rank(scores: ScoreVector, matrix: DecisionMatrix) -> RankedPlan:
     """
     if scores.mitigation_ids != matrix.mitigation_ids:
         raise McdmError("score vector and matrix rows do not match")
-    order = sorted(
-        range(len(scores.scores)),
-        key=lambda i: (-round(scores.scores[i], TIE_DECIMALS), scores.mitigation_ids[i]),
-    )
+    order = _ranked_rows(scores)
     technique_ids = matrix.technique_ids
     catalog = matrix.provenance.catalog
     names = {} if catalog is None else dict(zip(catalog.mids, catalog.mnames))

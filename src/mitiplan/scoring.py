@@ -15,6 +15,7 @@ import numbers
 import operator
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 
 from .catalog import (
     _check_name,
@@ -119,6 +120,55 @@ class WeightVector:
 WEIGHTS_CSV_HEADER = "no,score,tid,name"
 
 
+def _unquoted_cells(data) -> list[str] | None:
+    """The body cells of a weights CSV, row after row, when a split at
+    newlines and commas reads it exactly as the CSV reader would: text
+    with the header line, no quote, CR or NUL, no line past the reader's
+    field limit, and 3 commas on every body line.  None for any other
+    data, which :func:`_read_rows` then reads.  (Python 3.10's CSV
+    reader rejects NUL, so that is its to report.)"""
+    import csv
+
+    if isinstance(data, bytes):
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError:
+            return None
+    if not isinstance(data, str) or '"' in data or "\r" in data or "\0" in data:
+        return None
+    lines = data.removeprefix("\ufeff").split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    body = lines[1:]
+    if (
+        lines[:1] != [WEIGHTS_CSV_HEADER]
+        or max(map(len, lines)) > csv.field_size_limit()
+        or list(map(str.count, body, repeat(","))) != [3] * len(body)
+    ):
+        return None
+    return ",".join(body).split(",")
+
+
+def _plain_vector(cells: list[str]) -> WeightVector | None:
+    """The vector of 4-cell rows given row after row, when one test over
+    the whole columns accepts them; None when a row may be bad."""
+    try:
+        scores = list(map(float, cells[1::4]))
+    except ValueError:
+        return None
+    # A sum that is finite has no NaN or infinite term, so the minimum
+    # then tells the sign.
+    tids = list(map(str.strip, cells[2::4]))
+    names = cells[3::4]
+    if (
+        _plain_columns(tids, names)
+        and (not scores or (math.isfinite(sum(scores)) and min(scores) > 0))
+        and len(set(tids)) == len(tids)
+    ):
+        return WeightVector._from_columns(tids, scores, names)
+    return None
+
+
 @_collector_paused
 def load_weights(data: bytes | str) -> WeightVector:
     """Parse a weights CSV with header ``no,score,tid,name``.
@@ -128,26 +178,16 @@ def load_weights(data: bytes | str) -> WeightVector:
     technique IDs, and duplicate techniques raise errors citing the data
     row number, counting blank rows.  A leading byte-order mark is ignored.
     """
-    rows = _read_rows(data, "weights CSV", WEIGHTS_CSV_HEADER)
-    cells = [row for _, row in rows]
-    try:
-        if set(map(len, cells)) - {4}:
-            raise ValueError
-        scores = list(map(float, [row[1] for row in cells]))
-    except ValueError:
-        pass
-    else:
-        # One test over the whole columns accepts the common case.  A sum
-        # that is finite has no NaN or infinite term, so the minimum then
-        # tells the sign.
-        tids = [row[2].strip() for row in cells]
-        names = [row[3] for row in cells]
-        if (
-            _plain_columns(tids, names)
-            and (not scores or (math.isfinite(sum(scores)) and min(scores) > 0))
-            and len(set(tids)) == len(tids)
-        ):
-            return WeightVector._from_columns(tids, scores, names)
+    rows = None
+    cells = _unquoted_cells(data)
+    if cells is None:
+        rows = _read_rows(data, "weights CSV", WEIGHTS_CSV_HEADER)
+        if all(len(row) == 4 for _, row in rows):
+            cells = [cell for _, row in rows for cell in row]
+    if cells is not None and (vector := _plain_vector(cells)) is not None:
+        return vector
+    if rows is None:
+        rows = _read_rows(data, "weights CSV", WEIGHTS_CSV_HEADER)
     # Otherwise each row is checked in turn, and the first bad one raises.
     tids, scores, names, seen = [], [], [], set()
     for number, row in rows:

@@ -24,6 +24,7 @@ from ._mcsim_py import SCRATCH_BYTES, _pool_width
 from .catalog import Catalog, _is_integer, parse_mitigation_id, parse_technique_id
 from .errors import SimulationError, ValidationError
 from .mcdm import RankedPlan
+from .scoring import _real
 
 
 log = logging.getLogger(__name__)
@@ -42,7 +43,12 @@ class Campaign:
     def __post_init__(self):
         if isinstance(self.techniques, str):
             raise ValidationError("campaign techniques must be a sequence of IDs, not a string")
-        object.__setattr__(self, "techniques", tuple(self.techniques))
+        try:
+            object.__setattr__(self, "techniques", tuple(self.techniques))
+        except TypeError:
+            raise ValidationError(
+                f"campaign techniques must be a sequence of IDs, got {self.techniques!r}"
+            ) from None
         if not self.techniques:
             raise ValidationError("campaign needs at least one technique")
         for tid in self.techniques:
@@ -114,6 +120,10 @@ class MonteCarloSummary:
             raise ValidationError("trials must be >= 1")
         if not 0 <= self.seed <= MAX_SEED:
             raise ValidationError("seed must fit in 64 unsigned bits")
+        _real(self.unblocked_fraction, "unblocked_fraction")
+        for name in ("mean_steps", "std_steps"):
+            if getattr(self, name) is not None:
+                _real(getattr(self, name), name)
         if not 0.0 <= self.unblocked_fraction <= 1.0:
             raise ValidationError("unblocked_fraction must be in [0, 1]")
         if (self.mean_steps is None) != (self.std_steps is None):

@@ -11,11 +11,13 @@ from pathlib import Path
 import pytest
 
 import mitiplan
-from mitiplan import cli, simulator
+from mitiplan import cli, mcdm, simulator
 from mitiplan.catalog import Catalog, Mitigation, Technique, load_catalog, save_catalog
 from mitiplan.cli import run
 from mitiplan.matrix import build_decision_matrix
-from mitiplan.scoring import load_weights
+from mitiplan.scoring import load_weights, render_weights_csv
+
+from helpers import enterprise_catalog_and_weights
 
 
 @pytest.fixture()
@@ -760,6 +762,69 @@ class TestSimulate:
         assert out[1] == "plan steps to block: never"
         assert out[2].endswith("never blocked")
         assert len(out) == 3
+
+
+def _enterprise_inputs(directory: Path) -> tuple[Path, Path, str]:
+    """The seed-1 Enterprise helper catalog and weights written to
+    ``directory``, and a 20-technique campaign from its matrix."""
+    catalog, weights = enterprise_catalog_and_weights(seed=1)
+    save_catalog(catalog, directory / "enterprise.json")
+    (directory / "enterprise.csv").write_bytes(render_weights_csv(weights))
+    kept = build_decision_matrix(catalog, weights).technique_ids
+    campaign = ",".join(kept[:: len(kept) // 20][:20])
+    return directory / "enterprise.json", directory / "enterprise.csv", campaign
+
+
+class TestSimulateOrder:
+    """``simulate`` walks the order ``rank`` gives without building the
+    plan's entries, and prints what the full plan would give."""
+
+    def _run(self, catalog, weights, campaign, k, method, out, capsys):
+        args = ["simulate", "--catalog", str(catalog), "--weights", str(weights),
+                "--campaign", campaign, "--k", str(k), "--trials", "500",
+                "--seed", "7", "--method", method, "--out", str(out)]
+        assert run(args) == 0
+        return capsys.readouterr().out, out.read_bytes()
+
+    def _check(self, catalog, weights, campaign, k, method, tmp_path, monkeypatch, capsys):
+        orders = []
+
+        def with_ranked_plan(order, catalog, campaign, trials, seed):
+            matrix = build_decision_matrix(catalog, load_weights(weights.read_bytes()))
+            plan = mcdm.rank(mcdm.score_matrix(matrix, method), matrix)
+            orders.append((order, plan.mitigation_order()))
+            return simulator.compare_orders(plan, catalog, campaign, trials, seed)
+
+        walked = self._run(catalog, weights, campaign, k, method, tmp_path / "a.json", capsys)
+        monkeypatch.setattr(cli, "compare_orders", with_ranked_plan)
+        planned = self._run(catalog, weights, campaign, k, method, tmp_path / "b.json", capsys)
+        assert walked == planned
+        [(order, plan_order)] = orders
+        assert type(order) is tuple and order == plan_order
+
+    @pytest.mark.parametrize("method", ["wsm", "topsis"])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_paper_v13_matches_ranked_plan(self, fixture_dir, k, method, tmp_path,
+                                           monkeypatch, capsys):
+        self._check(fixture_dir / "paper_v13_catalog.json",
+                    fixture_dir / "paper_v13_weights.csv", "T1053,T1059,T1112",
+                    k, method, tmp_path, monkeypatch, capsys)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_enterprise_matches_ranked_plan(self, tmp_path, k, monkeypatch, capsys):
+        catalog, weights, campaign = _enterprise_inputs(tmp_path)
+        self._check(catalog, weights, campaign, k, "wsm", tmp_path, monkeypatch, capsys)
+
+    def test_builds_no_plan_entry(self, fixture_dir, tmp_path, monkeypatch, capsys):
+        def no_entry(*args, **kwargs):
+            raise AssertionError("simulate built a PlanEntry")
+
+        monkeypatch.setattr(mcdm, "PlanEntry", no_entry)
+        self._run(fixture_dir / "paper_v13_catalog.json",
+                  fixture_dir / "paper_v13_weights.csv", "T1053,T1059", 1, "wsm",
+                  tmp_path / "sim.json", capsys)
+        with pytest.raises(AssertionError, match="PlanEntry"):
+            run(_rank_args(fixture_dir, "--out", str(tmp_path / "plan.json")))
 
 
 class TestScore:

@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mitiplan.errors import McdmError, ValidationError
 from mitiplan.matrix import DecisionMatrix, build_decision_matrix
 from mitiplan.mcdm import (
+    TIE_DECIMALS,
     RankedPlan,
     PlanEntry,
     ScoreVector,
@@ -16,6 +19,7 @@ from mitiplan.mcdm import (
     topsis_scores,
     wpm_scores,
     wsm_scores,
+    _ranked_rows,
 )
 from mitiplan.scoring import WeightEntry, WeightVector
 
@@ -192,6 +196,30 @@ class TestRank:
         # Ranking the published totals puts M1040 (2.648487) above M1024
         # (2.552367) although the published row order lists M1024 first.
         assert order.index("M1040") < order.index("M1024")
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.lists(
+            st.tuples(
+                st.sampled_from([0.0, 0.25, 1.0, 2.771144]),
+                st.sampled_from([0.0, 1e-12, 4e-10, 4.9e-10, 5e-10, 5.1e-10, 1e-9, 2e-9]),
+            ),
+            max_size=12,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_order_alone_equals_plan_order(self, data, seed):
+        # Scores tied at and below the 9th decimal, under IDs in no order.
+        rng = np.random.default_rng(seed)
+        mids = tuple(f"M{1000 + i}" for i in rng.permutation(100)[: len(data)])
+        scores = ScoreVector("wsm", mids, tuple(base + nudge for base, nudge in data))
+        matrix = _matrix(np.ones((len(data), 1)), [1.0], mids=mids, tids=("T1053",))
+        order = tuple(mids[i] for i in _ranked_rows(scores))
+        assert order == rank(scores, matrix).mitigation_order()
+        key = dict(zip(mids, (-round(s, TIE_DECIMALS) for s in scores.scores)))
+        assert sorted(order) == sorted(mids)
+        for earlier, later in zip(order, order[1:]):
+            assert (key[earlier], earlier) < (key[later], later)
 
     def test_tie_breaks_by_ascending_id(self, v13_matrix):
         plan = rank(wsm_scores(v13_matrix), v13_matrix)

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import csv
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mitiplan import scoring
 from mitiplan.errors import ParseError, ValidationError
@@ -180,6 +184,110 @@ class TestWeights:
             [WeightEntry("T1053", 1.0, ""), WeightEntry("T1059", 0.5, "")]
         )
         assert weights_sha256(other) != base
+
+
+def _csv_module_read(data):
+    """``load_weights`` with the column read switched off, so every file
+    goes through the CSV reader."""
+    with mock.patch.object(scoring, "_unquoted_cells", lambda data: None):
+        return _outcome(data)
+
+
+def _outcome(data):
+    try:
+        return load_weights(data)
+    except ParseError as exc:
+        return str(exc)
+
+
+_SCORES = st.one_of(
+    st.floats(0.01, 100.0).map(repr),
+    st.sampled_from([" 3.0 ", "1_0", "0", "-1", "nan", "inf", "1e400", "abc", ""]),
+)
+_TIDS = st.one_of(
+    st.integers(1000, 1999).map("T{}".format),
+    st.sampled_from(["T1053", " T1059 ", "T1053.005", "T10", "", "t1053"]),
+)
+_PLAIN_NAMES = st.text(st.sampled_from("ab \u00e9\u2028"), max_size=4)
+_NAMES = st.text(st.sampled_from('ab,"\r\n\0'), max_size=4)
+_PLAIN_ROWS = st.builds("{},{},{},{}".format, st.integers(0, 9), _SCORES, _TIDS, _PLAIN_NAMES)
+_ROWS = st.one_of(
+    _PLAIN_ROWS,
+    st.builds("{},{},{},{}".format, st.integers(0, 9), _SCORES, _TIDS, _NAMES),
+    st.builds('{},{},{},"{}"'.format, st.integers(0, 9), _SCORES, _TIDS, _NAMES),
+    st.builds("{},{},{}".format, st.integers(0, 9), _SCORES, _TIDS),
+    st.sampled_from(["", "  ", ",,,", " , , , "]),
+)
+
+
+class TestWeightsColumnRead:
+    """A weights CSV with no quote, CR or NUL is split at newlines and
+    commas instead of going through the CSV reader; either way gives the
+    same vector, or the same error."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        header=st.sampled_from(["no,score,tid,name", "no,score,tid", "\ufeffno,score,tid,name"]),
+        rows=st.one_of(st.lists(_PLAIN_ROWS, max_size=6), st.lists(_ROWS, max_size=6)),
+        newline=st.sampled_from(["\n", "\n", "\n", "\r\n", "\r"]),
+        end=st.sampled_from(["", "\n", "\n\n"]),
+        encode=st.booleans(),
+        limit=st.sampled_from([None, 12]),
+    )
+    @example("no,score,tid,name", [], "\n", "", False, None)
+    @example("no,score,tid,name", ["1,2.0,T1053,a\u00e9"], "\n", "", True, None)
+    @example("no,score,tid,name", ["1,2.0,T1053,a\0b"], "\n", "\n", False, None)
+    @example("no,score,tid,name", ["1,2.0,T1053,a\rb"], "\n", "\n", False, None)
+    @example("no,score,tid,name", ["1,2.0,T1053,a\r"], "\n", "\n", True, None)
+    @example("no,score,tid,name", ["1,2.0,T1053,a", "2,1.0,T1053,b"], "\n", "\n", False, None)
+    @example("no,score,tid,name", ["1,2.0,T1053,abcdefghijkl"], "\n", "\n", False, 12)
+    def test_same_result_as_csv_module(self, header, rows, newline, end, encode, limit):
+        data = header + "".join(newline + row for row in rows) + end
+        if encode:
+            data = data.encode("utf-8")
+        old_limit = csv.field_size_limit()
+        try:
+            if limit is not None:
+                csv.field_size_limit(limit)
+            assert _outcome(data) == _csv_module_read(data)
+        finally:
+            csv.field_size_limit(old_limit)
+
+    def test_invalid_utf8_goes_to_the_csv_reader(self):
+        data = b"no,score,tid,name\n1,2.0,T1053,\xff\n"
+        assert _outcome(data) == _csv_module_read(data)
+        assert _outcome(data).startswith("weights CSV: not valid UTF-8")
+
+    def test_cell_past_the_real_field_limit(self):
+        name = "x" * (csv.field_size_limit() + 1)
+        data = f"no,score,tid,name\n1,2.0,T1053,{name}\n"
+        assert _outcome(data) == _csv_module_read(data)
+        assert _outcome(data) == (
+            "weights CSV row 1: malformed CSV: field larger than field limit "
+            f"({csv.field_size_limit()})"
+        )
+
+    def test_plain_files_skip_the_csv_reader(self, monkeypatch):
+        def no_reader(*args):
+            raise AssertionError("the CSV reader ran")
+
+        monkeypatch.setattr(scoring, "_read_rows", no_reader)
+        tids = [f"T{1000 + i}.{i % 7 + 1:03d}" for i in range(800)]
+        body = "".join(f"{n},{20 - n / 50!r},{tid},Technique {tid}\n"
+                       for n, tid in enumerate(tids, start=1))
+        weights = load_weights(("no,score,tid,name\n" + body).encode("utf-8"))
+        assert weights.tids == tuple(tids)
+        assert load_weights("\ufeffno,score,tid,name\n1,2.0,T1053,a") == WeightVector(
+            [WeightEntry("T1053", 2.0, "a")]
+        )
+
+    @pytest.mark.parametrize("data", [None, bytearray(b"no,score,tid,name\n"), 5])
+    def test_data_that_is_not_bytes_or_str_rejected(self, data):
+        with pytest.raises(ValidationError) as info:
+            load_weights(data)
+        assert str(info.value) == (
+            f"weights CSV must be bytes or str, got {type(data).__name__}"
+        )
 
 
 class TestRiskFactor:

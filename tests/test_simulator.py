@@ -79,6 +79,14 @@ class TestCampaign:
             Campaign(techniques="T1053")
         assert str(info.value) == "campaign techniques must be a sequence of IDs, not a string"
 
+    @pytest.mark.parametrize("techniques", [None, 1053, 1.5])
+    def test_techniques_that_are_not_iterable_rejected(self, techniques):
+        with pytest.raises(ValidationError) as info:
+            Campaign(techniques=techniques)
+        assert str(info.value) == (
+            f"campaign techniques must be a sequence of IDs, got {techniques!r}"
+        )
+
 
 class TestResolveCampaign:
     def test_members_pass_through_sorted(self, v13_catalog):
@@ -977,6 +985,24 @@ class TestResultTypes:
         with pytest.raises(ValidationError) as info:
             MonteCarloSummary(**fields)
         assert str(info.value) == f"{field} must be an integer, got {value!r}"
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("mean_steps", "a"),
+            ("std_steps", "1.0"),
+            ("mean_steps", True),
+            ("unblocked_fraction", "x"),
+            ("unblocked_fraction", None),
+            ("unblocked_fraction", False),
+        ],
+    )
+    def test_monte_carlo_summary_figures_are_real_numbers(self, field, value):
+        fields = dict(trials=10, seed=1, mean_steps=3.0, std_steps=1.0, unblocked_fraction=0.0)
+        fields[field] = value
+        with pytest.raises(ValidationError) as info:
+            MonteCarloSummary(**fields)
+        assert str(info.value) == f"{field} must be a real number, got {value!r}"
 
     def test_monte_carlo_summary_invariants(self):
         with pytest.raises(ValidationError):
