@@ -203,6 +203,8 @@ def _plan_entry(entry: dict) -> PlanEntry:
 def plan_document_from_json(data: bytes | str) -> PlanDocument:
     """Inverse of the JSON rendering; round-trips exactly.  Bytes must
     be UTF-8."""
+    if not isinstance(data, (bytes, str)):
+        raise ValidationError(f"plan document must be bytes or str, got {type(data).__name__}")
     try:
         doc = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
     except _JSON_ERRORS as exc:

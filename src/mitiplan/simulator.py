@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import logging
 import math
-import sys
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -21,7 +20,14 @@ import numpy as np
 
 from . import _mcsim_py as _kernel
 from ._mcsim_py import SCRATCH_BYTES, _pool_width
-from .catalog import Catalog, _is_integer, parse_mitigation_id, parse_technique_id
+from .catalog import (
+    _MITIGATION_IDS_RE,
+    Catalog,
+    _is_integer,
+    _plain_columns,
+    parse_mitigation_id,
+    parse_technique_id,
+)
 from .errors import SimulationError, ValidationError
 from .mcdm import RankedPlan
 from .scoring import _real
@@ -187,11 +193,16 @@ def resolve_campaign(campaign: Campaign, catalog: Catalog) -> tuple[str, ...]:
 def _mitigation_order(plan) -> tuple[str, ...]:
     if isinstance(plan, RankedPlan):
         return plan.mitigation_order()
-    if isinstance(plan, str):
+    try:
+        order = None if isinstance(plan, str) else tuple(plan)
+    except TypeError:
+        order = None
+    if order is None:
         raise ValidationError("plan must be a RankedPlan or a sequence of IDs")
-    order = tuple(plan)
-    for mid in order:
-        parse_mitigation_id(mid)
+    # One test of the whole column; the first bad ID then names itself.
+    if not _plain_columns(order, (), ids_re=_MITIGATION_IDS_RE):
+        for mid in order:
+            parse_mitigation_id(mid)
     return order
 
 
@@ -241,38 +252,40 @@ def _cover_matrix(catalog: Catalog, resolved: tuple[str, ...]) -> np.ndarray:
 # implements it: the multipliers for counter words 0 and 2, split into
 # 32-bit halves for `_mulhi`, and the Weyl increments added to the two key
 # words after each round.  Each is a (2, 1) column that broadcasts across
-# a block's lanes.
-_LOW32 = 0xFFFFFFFF
+# a block's lanes; row 0's are also kept as Python ints.  The masks and
+# shifts are NumPy scalars, which a ufunc takes faster than Python ints.
+_LOW32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
 _PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
 _PHILOX_M_LO = _PHILOX_M & _LOW32
-_PHILOX_M_HI = _PHILOX_M >> 32
+_PHILOX_M_HI = _PHILOX_M >> _SHIFT32
 _PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
+_M0, _W0 = int(_PHILOX_M[0, 0]), int(_PHILOX_W[0, 0])
 
-# Where a 64-bit word's low and high 32-bit halves sit in its uint32 view.
-_HALVES = (0, 1) if sys.byteorder == "little" else (1, 0)
-
-# Bytes every lane holds at a pool's peak: its state (slot, trial,
-# counter, i and row offset, 8 bytes each) and its share of a round's
-# temporaries, the Philox block in flight and the arrays made for each
-# word it tests.  tracemalloc puts the whole at 171 to 175 bytes.
-_LANE_BYTES = 192
+# Bytes every lane holds at a pool's peak, inside `_philox_block`: its
+# state (slot, trial, counter, i and row offset, 8 bytes each), the two
+# word pairs it returns and its nine rows of round temporaries.  At a
+# full forward pool, m = 2 to 1000, tracemalloc puts the whole at 147 to
+# 153 bytes; the arrays made for each word a round tests take less.
+_LANE_BYTES = 168
 
 
-def _mulhi(a, b_lo, b_hi):
+def _mulhi(a, b_lo, b_hi, scratch):
     """High 64 bits of the 128-bit products a * b, given b's 32-bit
-    halves; uint64 arithmetic wraps mod 2^64.  Works in place on its
-    own temporaries, so a call makes four arrays, not fourteen."""
-    a_lo = a & _LOW32
-    a_hi = a >> 32
-    mid = a_hi * b_lo
-    carry = a_lo * b_lo
-    carry >>= 32
+    halves; uint64 arithmetic wraps mod 2^64.  Works in the four arrays
+    of `scratch`, shaped like a, and returns the one that holds it."""
+    a_lo, a_hi, mid, carry = scratch
+    np.bitwise_and(a, _LOW32, out=a_lo)
+    np.right_shift(a, _SHIFT32, out=a_hi)
+    np.multiply(a_hi, b_lo, out=mid)
+    np.multiply(a_lo, b_lo, out=carry)
+    carry >>= _SHIFT32
     mid += carry
     a_lo *= b_hi
     np.bitwise_and(mid, _LOW32, out=carry)
     carry += a_lo
-    carry >>= 32
-    mid >>= 32
+    carry >>= _SHIFT32
+    mid >>= _SHIFT32
     a_hi *= b_hi
     a_hi += mid
     a_hi += carry
@@ -284,27 +297,40 @@ def _philox_block(counters, seed: int, keys):
     and key [seed, keys]: its four 64-bit output words, one array of
     lanes each."""
     # Rows of p are words 0 and 2, which a round multiplies by M into
-    # 128-bit products hi:lo.  Words 1 and 3 are the previous round's lo
-    # in swapped rows, so a round sets p = hi[::-1] ^ lo_prev[::-1] ^ key,
-    # computed as (hi ^ lo_prev)[::-1] ^ key.
-    n = keys.size
-    key = np.empty((2, n), dtype=np.uint64)
-    key[0] = seed
-    key[1] = keys
-    # Round 1: counter words 1..3 are 0, so only M0 * counter is nonzero.
-    p = np.empty((2, n), dtype=np.uint64)
-    p[0] = seed
-    p[1] = keys ^ _mulhi(counters, _PHILOX_M_LO[0], _PHILOX_M_HI[0])
-    lo = np.zeros((2, n), dtype=np.uint64)
-    lo[0] = counters * _PHILOX_M[0]
-    for _ in range(9):
-        key += _PHILOX_W
-        hi = _mulhi(p, _PHILOX_M_LO, _PHILOX_M_HI)
+    # 128-bit products hi:lo; rows of lo are words 3 and 1, the previous
+    # round's lo.  A round sets p = (hi ^ lo)[::-1] ^ key and lo to its
+    # own lo.  Key word 0 is the same in every lane, so it is a Python
+    # int.  Key word 1 and `_mulhi`'s scratch are rows of one block, made
+    # once a call and freed on return, so the lanes hold only p and lo
+    # while they test the words.
+    p, lo = np.empty((2, 2, len(keys)), dtype=np.uint64)
+    block = np.empty((9, len(keys)), dtype=np.uint64)
+    key1 = block[0]
+    # Lists, so that `_mulhi` unpacks them without making views each round.
+    scratch = list(block[1:].reshape(4, 2, -1))
+    one_row = [s[0] for s in scratch]
+    # Round 1: counter words 1..3 are 0, so only M0 * counter is nonzero,
+    # and word 0 comes out as the seed in every lane.
+    np.bitwise_xor(keys, _mulhi(counters, _PHILOX_M_LO[0], _PHILOX_M_HI[0], one_row), out=p[1])
+    np.multiply(counters, _PHILOX_M[0], out=lo[0])
+    # Round 2: words 0 and 1 are the seed and 0, so M0 * seed, this
+    # round's word 3, is a scalar too.
+    key0 = (seed + _W0) % 2**64
+    np.add(keys, _PHILOX_W[1], out=key1)
+    hi = _mulhi(p[1], _PHILOX_M_LO[1], _PHILOX_M_HI[1], one_row)
+    np.bitwise_xor(hi, key0, out=p[0])
+    np.multiply(p[1], _PHILOX_M[1], out=lo[1])
+    np.bitwise_xor(lo[0], key1, out=p[1])
+    hi0, lo[0] = divmod(_M0 * seed, 2**64)
+    p[1] ^= hi0
+    for _ in range(8):
+        key0 = (key0 + _W0) % 2**64
+        key1 += _PHILOX_W[1]
+        hi = _mulhi(p, _PHILOX_M_LO, _PHILOX_M_HI, scratch)
         hi ^= lo
-        # p becomes this round's lo, and lo's buffer the next p.
-        p *= _PHILOX_M
-        np.bitwise_xor(hi[::-1], key, out=lo)
-        p, lo = lo, p
+        np.multiply(p, _PHILOX_M, out=lo)
+        np.bitwise_xor(hi[1], key0, out=p[0])
+        np.bitwise_xor(hi[0], key1, out=p[1])
     return p[0], lo[1], p[1], lo[0]
 
 
@@ -338,19 +364,22 @@ def _shuffle_lanes(m: int, trials: int, seed: int, width: int, start, place) -> 
     while slot.size:
         counter += 1
         for x in _philox_block(counter, seed, trial):
-            halves = x.view(np.uint32)
-            for half in _HALVES:
+            # A word's low 32 bits come first, then its high ones.  In the
+            # int64 view a word, and so its shift, may be negative; a mask,
+            # below 2^32, keeps none of the sign bits.
+            x = x.view(np.int64)
+            for half in (x, x >> 32):
                 # A lane whose i reached 0 draws j = 0 (a no-op swap) and
                 # moves to i = -1; a lane at i < 0 accepts no later word:
                 # masks[i] is still a valid index and j >= 0.
-                j = halves[half::2] & masks[i]
+                j = half & masks[i]
                 accept = j <= i
                 over = place(slot, row, i, j, accept)
                 i -= accept
                 if over is not None:
                     i[over] = -1
         # Free this round's arrays before the next block is made.
-        del x, halves, j, accept
+        del x, half, j, accept
         ended = np.flatnonzero(i <= 0)
         if ended.size:
             fresh = ended[: trials - queued]
@@ -401,7 +430,7 @@ def trial_orders(m: int, trials: int, seed: int) -> np.ndarray:
         return lane_trials.astype(np.int64) * codes.shape[1] + 1
 
     def place(slots, rows, i, j, accept):
-        flat[rows + i] = j
+        flat[rows + i] = j.astype(flat.dtype)
 
     _shuffle_lanes(m, trials, seed, _pool_width(trials, _LANE_BYTES), start, place)
     if trials == 0:
@@ -509,8 +538,8 @@ def backward_steps(covers: np.ndarray, threshold: int, trials: int, seed: int) -
     # `inc[placed]`) and one for the top-bit test.  The inc table serves
     # every lane for the whole walk, so its bytes come out of the budget
     # before the pool is sized.  tracemalloc puts a full pool's peak past
-    # its output at 0.84 of SCRATCH_BYTES at m = 45, t = 20, 0.77 at
-    # m = 100, t = 60, 0.96 at m = 257, t = 3 and 0.96 at m = 1000,
+    # its output at 0.83 of SCRATCH_BYTES at m = 45, t = 20, 0.79 at
+    # m = 100, t = 60, 0.96 at m = 257, t = 3 and 0.97 at m = 1000,
     # t = 100; leaving the table out of the budget put the last at 1.03.
     cell = np.min_scalar_type(m - 1)
     width = _pool_width(trials, _LANE_BYTES + cell.itemsize * m + 4 * 8 * words + 8, inc.nbytes)

@@ -49,7 +49,7 @@ from mitiplan.simulator import Campaign, random_baseline, simulate_campaign
 from acceptance_report import record
 from helpers import random_catalog_and_weights, random_decision_matrix
 from oracles import oracle_topsis, oracle_wpm, oracle_wsm
-from reference import (
+from published import (
     CONSISTENT_COLUMNS,
     KNOWN_CELL_ANOMALIES,
     PUBLISHED_ROWS,
@@ -134,7 +134,7 @@ def test_criterion_3_total_score_reproduction(v13_matrix, v13_catalog):
         f"{reproduced} of 14 totals off the T1053 column match within 2e-5, "
         "but M1024 is stated as 2.552367 and computes to 2.771144: the "
         "published total omits the 0.218778 share of its own "
-        "(M1024, T1574) mapping; see tests/reference.py and the "
+        "(M1024, T1574) mapping; see tests/published.py and the "
         "strict-xfail companion test",
     )
 

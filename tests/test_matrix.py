@@ -18,7 +18,7 @@ from mitiplan.matrix import (
 from mitiplan.mcdm import RankedPlan, rank, wsm_scores
 from mitiplan.scoring import WeightEntry, WeightVector, weights_sha256
 
-from reference import (
+from published import (
     CONSISTENT_COLUMNS,
     KNOWN_CELL_ANOMALIES,
     PUBLISHED_CELL_CONSTANTS,

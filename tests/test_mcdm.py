@@ -25,7 +25,7 @@ from mitiplan.scoring import WeightEntry, WeightVector
 
 from helpers import random_decision_matrix
 from oracles import oracle_topsis, oracle_wpm, oracle_wsm, oracle_wsm_double
-from reference import published_matrix, published_total_scores
+from published import published_matrix, published_total_scores
 
 TOTAL_TOL = 2e-5
 

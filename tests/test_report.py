@@ -26,7 +26,7 @@ from mitiplan.report import (
 
 from mitiplan.scoring import WeightEntry, WeightVector, render_weights_csv
 
-from reference import published_matrix, published_total_scores
+from published import published_matrix, published_total_scores
 
 PINNED = 1_700_000_000
 
@@ -98,6 +98,14 @@ class TestJson:
         with pytest.raises(ValidationError) as info:
             plan_document_from_json(b"[]")
         assert "missing field" not in str(info.value)
+
+    @pytest.mark.parametrize("data", [None, 7, bytearray(b"{}"), ["{}"]])
+    def test_rejects_data_that_is_not_bytes_or_str(self, data):
+        with pytest.raises(ValidationError) as info:
+            plan_document_from_json(data)
+        assert str(info.value) == (
+            f"plan document must be bytes or str, got {type(data).__name__}"
+        )
 
     def test_rejects_invalid_mitigation_id(self, v13_plan):
         doc = json.loads(render_plan(v13_plan, "json", timestamp=PINNED))

@@ -174,6 +174,31 @@ class TestSimulateCampaign:
         with pytest.raises(ValidationError):
             simulate_campaign("M1038", v13_catalog, Campaign(techniques=("T1112",)))
 
+    @pytest.mark.parametrize("plan", [None, 1.5, 7])
+    @pytest.mark.parametrize("call", ["simulate_campaign", "compare_orders"])
+    def test_rejects_plan_that_is_not_iterable(self, v13_catalog, call, plan):
+        campaign = Campaign(techniques=("T1112",))
+        args = (30, 1) if call == "compare_orders" else ()
+        with pytest.raises(ValidationError) as info:
+            getattr(simulator, call)(plan, v13_catalog, campaign, *args)
+        assert str(info.value) == "plan must be a RankedPlan or a sequence of IDs"
+
+    @pytest.mark.parametrize(
+        "order, bad",
+        [
+            (["M1038", "M10", "X"], "'M10'"),
+            (["M1038", 1024], "1024"),
+            (["M1038", "M1024\nM1040"], "'M1024\\nM1040'"),
+            (("M1038", "M1024 "), "'M1024 '"),
+        ],
+    )
+    def test_first_bad_mitigation_id_named(self, v13_catalog, order, bad):
+        # The whole column is checked in one step; its first bad ID,
+        # in plan order, is the one the message names.
+        with pytest.raises(ValidationError) as info:
+            simulate_campaign(order, v13_catalog, Campaign(techniques=("T1112",)))
+        assert str(info.value) == f"invalid mitigation ID: {bad}"
+
     def test_rejects_unknown_mitigation(self, v13_catalog):
         with pytest.raises(SimulationError, match="M1999"):
             simulate_campaign(
@@ -328,6 +353,40 @@ class TestTrialOrders:
         expected = oracle_trial_orders(m, width + 1, seed)
         for trials in (width - 1, width, width + 1):
             assert np.array_equal(trial_orders(m, trials, seed), expected[:trials])
+
+    @pytest.mark.parametrize("lanes", [1, 2, 5, 5001])
+    @pytest.mark.parametrize("seed", [0, MAX_SEED])
+    def test_philox_block_matches_numpy(self, seed, lanes):
+        # Rounds 1 and 2 are folded on what counter word 0 and key word 0
+        # hold, so a fold that only holds for small counters or keys fails
+        # here, lane by lane, before it shows in a permutation.  Every
+        # special counter meets every special key; past 30 lanes the rest
+        # are random.  5,001 lanes is past the width where the broadcast
+        # constants cost as much as full rows.
+        special = [
+            (counter, key)
+            for key in (0, 1, 2**32, 2**63 + 12345, MAX_SEED)
+            for counter in (1, 2, 2**32 - 1, 2**32, 2**63, 2**64 - 1)
+        ]
+        rng = np.random.default_rng(lanes)
+        extra = max(lanes - len(special), 0)
+        counters = np.array(
+            [c for c, _ in special] + rng.integers(1, 2**64, extra, dtype=np.uint64).tolist(),
+            dtype=np.uint64,
+        )
+        keys = np.array(
+            [k for _, k in special] + rng.integers(0, 2**64, extra, dtype=np.uint64).tolist(),
+            dtype=np.uint64,
+        )
+        for first in range(0, counters.size, lanes):
+            c, k = counters[first : first + lanes], keys[first : first + lanes]
+            words = np.stack(simulator._philox_block(c.copy(), seed, k.copy()), axis=1)
+            for lane in range(c.size):
+                expected = np.random.Philox(
+                    key=np.array([seed, k[lane]], dtype=np.uint64),
+                    counter=np.array([c[lane] - np.uint64(1), 0, 0, 0], dtype=np.uint64),
+                ).random_raw(4)
+                assert words[lane].tolist() == expected.tolist(), (int(c[lane]), int(k[lane]))
 
     @pytest.mark.parametrize("m", [127, 128, 129, 255, 256, 257])
     def test_matches_per_trial_generator_at_dtype_boundaries(self, m):
@@ -579,16 +638,16 @@ class TestWalks:
         # The forward lane holds O(1) state; the backward lane adds its
         # m one-byte prefix cells, four rows of W packed 64-bit words and
         # its trial number.  At Enterprise size (m = 45, t = 20) the
-        # counts fit one word, so its pool is about seven tenths as wide,
+        # counts fit one word, so its pool is about two thirds as wide,
         # less one lane for the 45-row table of packed covers.
         budget = simulator.SCRATCH_BYTES
         forward = simulator._pool_width(10**6, simulator._LANE_BYTES)
         backward = simulator._pool_width(10**6, _backward_lane_bytes(45, 1))
-        assert _backward_lane_bytes(45, 1) == simulator._LANE_BYTES + 45 + 4 * 8 + 8 == 277
-        assert forward == budget // simulator._LANE_BYTES == 6144
-        assert backward == 4258
-        assert simulator._pool_width(10**6, 277, 45 * 8) == 4257
-        assert simulator._pool_width(10**6, 277, budget) == 1
+        assert _backward_lane_bytes(45, 1) == simulator._LANE_BYTES + 45 + 4 * 8 + 8 == 253
+        assert forward == budget // simulator._LANE_BYTES == 7021
+        assert backward == 4662
+        assert simulator._pool_width(10**6, 253, 45 * 8) == 4661
+        assert simulator._pool_width(10**6, 253, budget) == 1
         assert simulator._pool_width(100, simulator._LANE_BYTES) == 100
         assert simulator._pool_width(0, simulator._LANE_BYTES) == 0
         assert simulator._pool_width(5, 2 * budget) == 1
