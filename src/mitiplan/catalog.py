@@ -833,6 +833,8 @@ def _section(doc: dict, name: str) -> list:
 
 @_collector_paused
 def loads_catalog(data: bytes | str) -> Catalog:
+    if not isinstance(data, (bytes, bytearray, str)):
+        raise ParseError(f"catalog document must be bytes or str, got {type(data).__name__}")
     try:
         doc = json.loads(data)
     except _JSON_ERRORS as exc:

@@ -397,6 +397,72 @@ def _shuffle_lanes(m: int, trials: int, seed: int, width: int, start, place) -> 
                 )
 
 
+def _code_dtype(m: int) -> np.dtype:
+    """The dtype of an m-row shuffle's draw codes: every j a draw tests
+    is below 2^bitlen(m - 1) <= 2m."""
+    return np.min_scalar_type(2 * m)
+
+
+def _draw_codes(codes: np.ndarray, m: int, seed: int) -> None:
+    """Run the lanes of `_shuffle_lanes` for trials 0..len(codes)-1,
+    m >= 2, and keep the j that trial t accepts for position i as
+    codes[t, i + 1]; a row holds at least m + 1 codes of `_code_dtype(m)`.
+
+    Every word is written, accepted or not; a rejected word leaves i in
+    place, so the last word written for i is the accepted one, and lanes
+    past the end (i = 0 or -1) write codes 1 and 0, which nothing reads.
+    """
+    trials, stride = codes.shape
+    flat = codes.reshape(-1)
+
+    def start(slots, lane_trials):
+        return lane_trials.astype(np.int64) * stride + 1
+
+    def place(slots, rows, i, j, accept):
+        flat[rows + i] = j.astype(flat.dtype)
+
+    _shuffle_lanes(m, trials, seed, _pool_width(trials, _LANE_BYTES), start, place)
+
+
+def _swapped_blocks(codes: np.ndarray, m: int, ascending: bool, room=(0, 0)):
+    """Make the swaps that `_draw_codes` recorded, one position at a
+    time across a block of trials, on columns of m cells no wider than
+    m needs, each starting as arange(m).  Descending (i = m-1 .. 1) they
+    build each trial's order; ascending (i = 1 .. m-1), since each swap
+    is its own inverse, the inverse of that order: each mitigation row's
+    0-based step.
+
+    Yields (first, work) per block, where work[k, lane] is cell k of
+    trial first + lane; the next block reuses it.  Blocks are sized to
+    leave `room`, bytes per trial and bytes for all of them, to what the
+    caller does with a block.
+    """
+    trials = codes.shape[0]
+    if not trials:
+        return
+    # A trial's swap scratch: its column of cells, the cell it holds
+    # during a swap and the one np.take buffers, its cell index and lane
+    # number, and the buffer that widens its code to an index.
+    cell = np.min_scalar_type(m)
+    lane_bytes, shared = room
+    width = _pool_width(trials, (m + 2) * cell.itemsize + 24 + lane_bytes, shared)
+    cells = np.empty(m * width, dtype=cell)
+    held = np.empty(width, dtype=cell)
+    at = np.empty(width, dtype=np.intp)
+    lanes = np.arange(width)
+    for first in range(0, trials, width):
+        n = min(width, trials - first)
+        work = cells[: m * n].reshape(m, n)
+        work[:] = np.arange(m, dtype=cell)[:, None]
+        for i in range(1, m) if ascending else range(m - 1, 0, -1):
+            np.multiply(codes[first : first + n, i + 1], n, out=at[:n], dtype=np.intp)
+            at[:n] += lanes[:n]
+            held[:n] = work[i]
+            np.take(cells, at[:n], out=work[i])
+            cells[at[:n]] = held[:n]
+        yield first, work
+
+
 def trial_orders(m: int, trials: int, seed: int) -> np.ndarray:
     """Random mitigation orders, one permutation of 0..m-1 per trial.
 
@@ -409,63 +475,36 @@ def trial_orders(m: int, trials: int, seed: int) -> np.ndarray:
     so the batch is independent of generation order and any row can be
     regenerated alone.
 
-    Trials draw side by side in the lane pool of `_shuffle_lanes`, and
-    each keeps the j it accepted for position i as code i + 1 of its own
-    row of the result, viewed as small integers: a row's 8m bytes hold
-    m + 1 codes below 2m.  Every word is written, accepted or not; a
-    rejected word leaves i in place, so the last word written for i is
-    the accepted one, and lanes past the end (i = 0 or -1) write codes 1
-    and 0, which nothing reads.  The swaps then run one position at a
-    time across a block of trials, on cells no wider than m needs, and
-    each finished block overwrites its rows' codes, all read by then.
+    Trials draw side by side in the lane pool, and `_draw_codes` keeps
+    each trial's draws in its own row of the result, viewed as small
+    integers: a row's 8m bytes hold m + 1 codes below 2m.  The swaps
+    then run descending in `_swapped_blocks`, and each finished block
+    overwrites its rows' codes, all read by then.
     """
     orders = np.empty((trials, m), dtype=np.int64)
-    if m < 2:
-        orders[:] = np.arange(m)
-        return orders
-    codes = orders.view(np.min_scalar_type(2 * m))
-    flat = codes.reshape(-1)
-
-    def start(slots, lane_trials):
-        return lane_trials.astype(np.int64) * codes.shape[1] + 1
-
-    def place(slots, rows, i, j, accept):
-        flat[rows + i] = j.astype(flat.dtype)
-
-    _shuffle_lanes(m, trials, seed, _pool_width(trials, _LANE_BYTES), start, place)
-    if trials == 0:
-        return orders
-    # A trial's swap scratch: its column of cells, the cell it holds
-    # during a swap and the one np.take buffers, its cell index and lane
-    # number, and the buffer that widens its code to an index.
-    cell = np.min_scalar_type(m)
-    width = _pool_width(trials, (m + 2) * cell.itemsize + 24)
-    cells = np.empty(m * width, dtype=cell)
-    held = np.empty(width, dtype=cell)
-    at = np.empty(width, dtype=np.intp)
-    lanes = np.arange(width)
-    for first in range(0, trials, width):
-        n = min(width, trials - first)
-        # work[k, lane] holds position k of trial first + lane.
-        work = cells[: m * n].reshape(m, n)
-        work[:] = np.arange(m, dtype=cell)[:, None]
-        for i in range(m - 1, 0, -1):
-            np.multiply(codes[first : first + n, i + 1], n, out=at[:n], dtype=np.intp)
-            at[:n] += lanes[:n]
-            held[:n] = work[i]
-            np.take(cells, at[:n], out=work[i])
-            cells[at[:n]] = held[:n]
-        orders[first : first + n] = work.T
+    codes = orders.view(_code_dtype(m))
+    if m >= 2:
+        _draw_codes(codes, m, seed)
+    for first, work in _swapped_blocks(codes, m, ascending=False):
+        orders[first : first + work.shape[1]] = work.T
     return orders
 
 
 def forward_steps(covers: np.ndarray, threshold: int, trials: int, seed: int) -> np.ndarray:
-    """Steps to block per trial (-1 when a trial never blocks): the whole
-    order of every trial from `trial_orders`, then the steps-to-block
-    kernel over them."""
-    orders = trial_orders(covers.shape[0], trials, seed)
+    """Steps to block per trial (-1 when a trial never blocks), from the
+    shuffles of `trial_orders` without their orders: the trials' draws
+    go to a (trials, m + 1) buffer of codes, the swaps run ascending to
+    give each trial's step for every mitigation row, and the
+    steps-to-block kernel reads each swap block as it is made.  A block
+    leaves room for one kernel pass over its trials."""
+    m = covers.shape[0]
+    codes = np.empty((trials, m + 1), dtype=_code_dtype(m))
+    if m >= 2:
+        _draw_codes(codes, m, seed)
     out = np.empty(trials, dtype=np.int64)
-    _kernel.steps_to_block_batch(orders, covers, threshold, out)
+    room = _kernel._pass_bytes(np.count_nonzero(covers, axis=0), np.min_scalar_type(m).itemsize)
+    for first, work in _swapped_blocks(codes, m, ascending=True, room=room):
+        _kernel.steps_to_block_batch(work.T, covers, threshold, out[first : first + work.shape[1]])
     return out
 
 
@@ -608,8 +647,11 @@ def random_baseline(
         "<=" if backward else ">",
         2 * threshold - 1,
     )
-    # The steps take 8 bytes per trial, and the forward walk's orders 8m.
-    if 8 * trials * (1 if backward else max(covers.shape[0], 1)) > np.iinfo(np.intp).max:
+    # A trial takes 8 bytes of steps, and in the forward walk m + 1 draw
+    # codes more.
+    m = covers.shape[0]
+    per_trial = 8 + (0 if backward else _code_dtype(m).itemsize * (m + 1))
+    if trials * per_trial > np.iinfo(np.intp).max:
         raise ValidationError(f"trials {trials} is more than NumPy can hold in one array")
     walk = backward_steps if backward else forward_steps
     try:

@@ -696,6 +696,17 @@ class TestPersistence:
             f"(expected {CATALOG_SCHEMA_VERSION})"
         )
 
+    @pytest.mark.parametrize("data", [None, 5, 1.5, ["{}"], {"schema_version": 1}])
+    def test_document_must_be_bytes_or_str(self, data):
+        with pytest.raises(ParseError) as info:
+            loads_catalog(data)
+        assert str(info.value) == (
+            f"catalog document must be bytes or str, got {type(data).__name__}"
+        )
+
+    def test_document_may_be_a_bytearray(self, v13_catalog):
+        assert loads_catalog(bytearray(dumps_catalog(v13_catalog))) == v13_catalog
+
     def test_empty_catalog_document(self):
         empty = Catalog([], [], [])
         doc = json.loads(dumps_catalog(empty))

@@ -523,9 +523,9 @@ class TestRandomBaseline:
 
 
 class TestWalks:
-    """The backward walk and the forward walk (whole orders, then the
-    kernel) give the same steps, and random_baseline picks between them
-    by the campaign's fewest covers."""
+    """The backward walk and the forward walk (each trial's steps from
+    the swap blocks, then the kernel) give the same steps, and
+    random_baseline picks between them by the campaign's fewest covers."""
 
     @pytest.mark.parametrize("lanes", [1, 2, 3, 7])
     @settings(max_examples=40, deadline=None)
@@ -662,7 +662,8 @@ class TestWalks:
         # twelve, and the 96 kB table of packed covers comes out of the
         # budget before the pool, 419 lanes, is sized: 500 trials fill it.
         # The steps-to-block kernel's passes hold the same budget past
-        # their arguments, at k = 1 and 2: at m = 1000 a pass is 66 rows.
+        # their arguments, at k = 1 and 2, over int64 steps: at m = 1000
+        # a pass is 1,046 rows.
         covers = _random_covers(45, 20, seed=2, density=0.08)
         wide = _random_covers(257, 3, seed=2, density=0.05)
         many = _random_covers(100, 60, seed=2, density=0.05)
@@ -681,11 +682,63 @@ class TestWalks:
             out, peak = _traced_peak(walk, *args, 11)
             assert peak - out.nbytes <= budget
         for case in (covers, mid, large):
-            orders = trial_orders(case.shape[0], 3000, 11)
+            positions = np.argsort(trial_orders(case.shape[0], 3000, 11), axis=1)
             out = np.empty(3000, dtype=np.int64)
             for threshold in (1, 2):
-                _, peak = _traced_peak(_mcsim_py.steps_to_block_batch, orders, case, threshold, out)
+                _, peak = _traced_peak(
+                    _mcsim_py.steps_to_block_batch, positions, case, threshold, out
+                )
                 assert peak <= budget, (case.shape, threshold)
+
+    def test_forward_walk_holds_its_codes_and_one_budget(self):
+        # Past its steps, the forward walk holds its trials' draw codes,
+        # m + 1 of them a trial, and one scratch budget at a time: the
+        # lane pool, then a swap block that leaves room for one kernel
+        # pass over its trials.  Codes are one byte below m = 128 and two
+        # from there; a matrix of whole orders, 8m bytes a trial, would
+        # not fit.
+        cases = (
+            (_random_covers(45, 20, seed=2, density=0.08), 12000),
+            (_random_covers(300, 40, seed=2, density=0.05), 3000),
+            (_random_covers(1000, 100, seed=2, density=0.05), 1500),
+        )
+        for covers, trials in cases:
+            covers[:2] = 1
+            m = covers.shape[0]
+            codes = trials * (m + 1) * np.min_scalar_type(2 * m).itemsize
+            for threshold in (1, 2):
+                out, peak = _traced_peak(forward_steps, covers, threshold, trials, 11)
+                assert peak - out.nbytes <= codes + 1.02 * simulator.SCRATCH_BYTES, (m, threshold)
+
+    @pytest.mark.parametrize("trials", [0, 1, 3, 4, 5, 9])
+    def test_forward_matches_oracle_across_swap_blocks(self, trials):
+        # A budget shrunk to 4 trials a swap block puts the trials in
+        # blocks of 4 and a ragged last one, and the kernel reads each
+        # block in one pass.  The cases: m = 2, k = 1 to 3 on random
+        # covers, and a campaign whose second technique has one cover
+        # fewer than k = 2 needs.
+        unblockable = _random_covers(9, 2, seed=4, density=0.5)
+        unblockable[:, 0] = 1
+        unblockable[:, 1] = 0
+        unblockable[4, 1] = 1
+        cases = [(np.ones((2, 1), dtype=np.uint8), 1), (unblockable, 2)]
+        for threshold in (1, 2, 3):
+            covers = _random_covers(11, 3, seed=threshold, density=0.5)
+            covers[:threshold] = 1
+            cases.append((covers, threshold))
+        for covers, threshold in cases:
+            m, seed = covers.shape[0], MAX_SEED - threshold
+            expected = _oracle_batch(oracle_trial_orders(m, trials, seed), covers, threshold)
+            with pytest.MonkeyPatch.context() as patch:
+                asked, _ = _spy_widths(patch, simulator)
+                forward_steps(covers, threshold, 1, seed)
+                block_bytes, shared = asked[-1]
+                patch.setattr(_mcsim_py, "SCRATCH_BYTES", shared + 4 * block_bytes)
+                _, passes = _spy_kernel_widths(patch)
+                assert forward_steps(covers, threshold, trials, seed).tolist() == expected
+            full, last = divmod(trials, 4)
+            blocks = [4] * full + [last] * (last > 0)
+            assert passes == (blocks if covers.sum(axis=0).min() >= threshold else [])
 
     @pytest.mark.parametrize("lanes", [1, 2, 7])
     @pytest.mark.parametrize("threshold", [1, 2])
@@ -864,8 +917,10 @@ def _oracle_batch(orders, covers, threshold):
 
 
 def _run_kernel(orders, covers, threshold):
+    """The kernel's output for these orders, given each trial's 0-based
+    step for every mitigation row, as the forward walk's swaps build it."""
     out = np.full(orders.shape[0], -7, dtype=np.int64)
-    _mcsim_py.steps_to_block_batch(orders, covers, threshold, out)
+    _mcsim_py.steps_to_block_batch(np.argsort(orders, axis=1), covers, threshold, out)
     return out.tolist()
 
 
@@ -873,9 +928,10 @@ def _row_by_row(orders, covers, threshold):
     return [_run_kernel(order[None], covers, threshold)[0] for order in orders]
 
 
-def _spy_kernel_widths(patch):
-    """Record each kernel call's bytes per row and shared bytes, and
-    the pass width `_pool_width` gives it, in two lists."""
+def _spy_widths(patch, module):
+    """Record each call of `module._pool_width` (the kernel's, or the
+    walks'): its bytes per row and shared bytes, and the width it
+    gives, in two lists."""
     real = _mcsim_py._pool_width
     asked, widths = [], []
 
@@ -884,8 +940,14 @@ def _spy_kernel_widths(patch):
         widths.append(real(trials, row_bytes, shared))
         return widths[-1]
 
-    patch.setattr(_mcsim_py, "_pool_width", spy)
+    patch.setattr(module, "_pool_width", spy)
     return asked, widths
+
+
+def _spy_kernel_widths(patch):
+    """Each kernel call's bytes per row and shared bytes, and its pass
+    width, as `_spy_widths` records them."""
+    return _spy_widths(patch, _mcsim_py)
 
 
 def _shrink_kernel_passes(patch, covers, threshold, rows):
@@ -943,15 +1005,24 @@ class TestKernel:
             assert _run_kernel(orders, covers, 2) == _row_by_row(orders, covers, 2)
 
     def test_pass_width_on_paper_v13(self, v13_catalog):
-        # The README's figure: rows of 16m + 12 = 300 bytes fill what the
-        # budget leaves past the campaign's 11 cover rows and NumPy's
-        # 64 KiB broadcast buffer.
+        # The README's figures: a kernel row of one-byte steps holds
+        # 2 * 7 + 2 = 16 bytes (T1059's 7 covers, gathered and
+        # partitioned, its step and the block step), and the campaign's
+        # 11 cover rows come off the budget first.  A swap block's trial
+        # holds m + 2 = 20 one-byte cells and 24 bytes of index, lane and
+        # widened code beside that kernel row, 60 bytes in all, so a
+        # block is 19,659 trials and all 10,000 go in one block and one
+        # kernel pass, after a 7,021-lane pool.
         campaign = Campaign(techniques=("T1053", "T1059"))
         with pytest.MonkeyPatch.context() as patch:
+            walk_asked, walk_widths = _spy_widths(patch, simulator)
             asked, widths = _spy_kernel_widths(patch)
             random_baseline(v13_catalog, campaign, trials=10000, seed=42)
-        assert asked == [(300, 11 * 8 + 8 * 8192)]
-        assert widths == [3713]
+        assert asked == [(16, 11 * 8)]
+        assert widths == [10000]
+        assert walk_asked == [(simulator._LANE_BYTES, 0), (18 + 2 + 24 + 16, 11 * 8)]
+        assert walk_widths == [7021, 10000]
+        assert simulator._pool_width(10**6, 60, 88) == 19659
 
     def test_zero_trials(self):
         # `_pool_width` sizes a pass of no trials at 0 rows.
