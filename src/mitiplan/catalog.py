@@ -17,7 +17,7 @@ import numbers
 import operator
 import re
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import repeat
 from json.encoder import encode_basestring
 from pathlib import Path
 
@@ -71,20 +71,21 @@ def parse_mitigation_id(value: str) -> str:
     return value
 
 
-def is_subtechnique(technique_id: str) -> bool:
-    return "." in technique_id
-
-
-def parent_technique(technique_id: str) -> str:
-    """Parent of a sub-technique ID; a parent-level ID is its own parent."""
-    parse_technique_id(technique_id)
-    return technique_id.split(".", 1)[0]
-
-
 def _is_integer(value) -> bool:
     """True for Python and NumPy integers; bool is an int subclass but
     never a count, a seed or a timestamp."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _sequence(value, what: str) -> tuple:
+    """``value``'s items as a tuple; for a str or a non-iterable, a
+    :class:`ValidationError` whose message starts with ``what``."""
+    if isinstance(value, str):
+        raise ValidationError(f"{what}, not a string")
+    try:
+        return tuple(value)
+    except TypeError:
+        raise ValidationError(f"{what}, got {value!r}") from None
 
 
 def _check_type(entity_id: str, field_name: str, value, kind: type) -> None:
@@ -355,13 +356,6 @@ class Catalog:
         table = np.zeros((len(self.mids), len(columns)), dtype=np.uint8)
         table[self.mapping_rows[hit], places[hit]] = 1
         return table
-
-    def mitigations_for(self, technique_id: str) -> tuple[str, ...]:
-        """Mitigation IDs mapped to a technique, sorted."""
-        column = self.technique_index.get(technique_id)
-        if column is None:
-            return ()
-        return tuple(compress(self.mids, self.covers([column]).ravel().tolist()))
 
 
 def _raise_for_pairs(pair_mids, pair_tids, row_of, column_of):
@@ -872,7 +866,11 @@ def save_catalog(catalog: Catalog, path: str | Path) -> None:
 
 
 def load_catalog(path: str | Path) -> Catalog:
-    return loads_catalog(Path(path).read_bytes())
+    try:
+        path = Path(path)
+    except TypeError:
+        raise ValidationError(f"catalog path must be a str or a path, got {path!r}") from None
+    return loads_catalog(path.read_bytes())
 
 
 def catalog_sha256(catalog: Catalog) -> str:

@@ -109,23 +109,14 @@ class DecisionMatrix:
         """Weighted cells: coverage scaled by each column's weight."""
         return self.coverage * self.weights
 
-    def row_index(self, mitigation_id: str) -> int:
-        try:
-            return self.mitigation_ids.index(mitigation_id)
-        except ValueError:
-            raise KeyError(mitigation_id) from None
-
-    def column_index(self, technique_id: str) -> int:
-        try:
-            return self.technique_ids.index(technique_id)
-        except ValueError:
-            raise KeyError(technique_id) from None
-
     def cell(self, mitigation_id: str, technique_id: str) -> float:
-        """Weighted cell value for a (mitigation, technique) pair."""
-        i = self.row_index(mitigation_id)
-        j = self.column_index(technique_id)
-        return float(self.coverage[i, j] * self.weights[j])
+        """Weighted cell value for a (mitigation, technique) pair; an ID
+        not in the matrix raises :class:`KeyError` naming it."""
+        for ids, key in ((self.mitigation_ids, mitigation_id), (self.technique_ids, technique_id)):
+            if key not in ids:
+                raise KeyError(key)
+        j = self.technique_ids.index(technique_id)
+        return float(self.coverage[self.mitigation_ids.index(mitigation_id), j] * self.weights[j])
 
 
 def build_decision_matrix(catalog: Catalog, weights: WeightVector) -> DecisionMatrix:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import _is_integer
+from .catalog import _is_integer, _sequence, _set
 from .errors import McdmError, ValidationError
 from .matrix import NO_PROVENANCE, DecisionMatrix, Provenance
 from .scoring import _real
@@ -34,10 +34,12 @@ class ScoreVector:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValidationError(f"unknown method {self.method!r}")
+        for name in ("mitigation_ids", "scores"):
+            _set(self, name, _sequence(getattr(self, name), f"{name} must be a sequence"))
         if len(self.mitigation_ids) != len(self.scores):
             raise ValidationError("one score required per mitigation")
         for score in self.scores:
-            if not np.isfinite(score) or score < 0:
+            if not np.isfinite(_real(score, "score")) or score < 0:
                 raise ValidationError(f"scores must be finite and >= 0, got {score}")
             if self.method == "topsis" and score > 1.0 + 1e-12:
                 raise ValidationError(f"closeness must be in [0, 1], got {score}")
@@ -68,6 +70,7 @@ class RankedPlan:
     provenance: Provenance = NO_PROVENANCE
 
     def __post_init__(self):
+        _set(self, "entries", _sequence(self.entries, "plan entries must be a sequence"))
         ranks = [entry.rank for entry in self.entries]
         if ranks != list(range(1, len(self.entries) + 1)):
             raise ValidationError("ranks must be 1..m with no gaps")

@@ -23,6 +23,7 @@ from .catalog import (
     _csv_field,
     _plain_columns,
     _read_rows,
+    _sequence,
     _set,
     parse_technique_id,
 )
@@ -74,7 +75,7 @@ class WeightVector:
 
     def __init__(self, entries):
         tids, weights, names, seen = [], [], [], set()
-        for entry in entries:
+        for entry in _sequence(entries, "weight entries must be a sequence of WeightEntry"):
             tid = entry.technique_id
             weight = _real(entry.weight, f"weight for {tid}")
             if not 0 < weight < math.inf:
@@ -178,19 +179,12 @@ def load_weights(data: bytes | str) -> WeightVector:
     technique IDs, and duplicate techniques raise errors citing the data
     row number, counting blank rows.  A leading byte-order mark is ignored.
     """
-    rows = None
     cells = _unquoted_cells(data)
-    if cells is None:
-        rows = _read_rows(data, "weights CSV", WEIGHTS_CSV_HEADER)
-        if all(len(row) == 4 for _, row in rows):
-            cells = [cell for _, row in rows for cell in row]
     if cells is not None and (vector := _plain_vector(cells)) is not None:
         return vector
-    if rows is None:
-        rows = _read_rows(data, "weights CSV", WEIGHTS_CSV_HEADER)
     # Otherwise each row is checked in turn, and the first bad one raises.
     tids, scores, names, seen = [], [], [], set()
-    for number, row in rows:
+    for number, row in _read_rows(data, "weights CSV", WEIGHTS_CSV_HEADER):
         where = f"weights CSV row {number}"
         if len(row) != 4:
             raise ParseError(f"{where}: expected 4 columns")

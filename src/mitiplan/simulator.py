@@ -25,6 +25,7 @@ from .catalog import (
     Catalog,
     _is_integer,
     _plain_columns,
+    _sequence,
     parse_mitigation_id,
     parse_technique_id,
 )
@@ -47,14 +48,8 @@ class Campaign:
     block_threshold: int = 1
 
     def __post_init__(self):
-        if isinstance(self.techniques, str):
-            raise ValidationError("campaign techniques must be a sequence of IDs, not a string")
-        try:
-            object.__setattr__(self, "techniques", tuple(self.techniques))
-        except TypeError:
-            raise ValidationError(
-                f"campaign techniques must be a sequence of IDs, got {self.techniques!r}"
-            ) from None
+        techniques = _sequence(self.techniques, "campaign techniques must be a sequence of IDs")
+        object.__setattr__(self, "techniques", techniques)
         if not self.techniques:
             raise ValidationError("campaign needs at least one technique")
         for tid in self.techniques:
@@ -92,12 +87,6 @@ class SimulationResult:
             raise ValidationError(
                 "coverage curve must end at 1.0 exactly when the campaign blocks"
             )
-
-    def block_step(self, technique_id: str) -> int | None:
-        for tid, step in self.per_technique_block_step:
-            if tid == technique_id:
-                return step
-        raise SimulationError(f"{technique_id} is not part of this result")
 
     def to_dict(self) -> dict:
         return {
@@ -193,12 +182,7 @@ def resolve_campaign(campaign: Campaign, catalog: Catalog) -> tuple[str, ...]:
 def _mitigation_order(plan) -> tuple[str, ...]:
     if isinstance(plan, RankedPlan):
         return plan.mitigation_order()
-    try:
-        order = None if isinstance(plan, str) else tuple(plan)
-    except TypeError:
-        order = None
-    if order is None:
-        raise ValidationError("plan must be a RankedPlan or a sequence of IDs")
+    order = _sequence(plan, "plan must be a RankedPlan or a sequence of IDs")
     # One test of the whole column; the first bad ID then names itself.
     if not _plain_columns(order, (), ids_re=_MITIGATION_IDS_RE):
         for mid in order:

@@ -16,8 +16,6 @@ from mitiplan.catalog import (
     IngestStats,
     Mitigation,
     Technique,
-    is_subtechnique,
-    parent_technique,
     parse_mitigation_id,
     parse_technique_id,
 )
@@ -156,13 +154,13 @@ def _collapse_subtechniques(catalog: Catalog) -> Catalog:
     by_id = {t.id: t for t in catalog.techniques}
     techniques: dict[str, Technique] = {}
     for tech in catalog.techniques:
-        if is_subtechnique(tech.id):
-            parent_id = parent_technique(tech.id)
+        parent_id = tech.id[:5]  # "T" and four digits; a sub-technique adds ".NNN"
+        if parent_id != tech.id:
             if parent_id not in by_id:
                 techniques.setdefault(parent_id, Technique(id=parent_id))
         else:
             techniques[tech.id] = tech
-    mappings = {(mid, parent_technique(tid)) for mid, tid in catalog.mappings}
+    mappings = {(mid, tid[:5]) for mid, tid in catalog.mappings}
     return Catalog(
         techniques.values(), catalog.mitigations, mappings, meta=catalog.meta
     )

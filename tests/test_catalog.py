@@ -12,10 +12,8 @@ from mitiplan.catalog import (
     catalog_sha256,
     collapse_subtechniques,
     dumps_catalog,
-    is_subtechnique,
     load_catalog,
     loads_catalog,
-    parent_technique,
     parse_mapping_csv,
     parse_mitigation_id,
     parse_stix_bundle,
@@ -118,14 +116,6 @@ class TestIds:
         with pytest.raises(ValidationError):
             parse_mitigation_id(bad)
 
-    def test_subtechnique_parent(self):
-        assert is_subtechnique("T1053.005")
-        assert not is_subtechnique("T1053")
-        assert parent_technique("T1053.005") == "T1053"
-
-    def test_parent_of_parent_is_itself(self):
-        assert parent_technique("T1053") == "T1053"
-
 
 class TestCatalogType:
     def test_duplicate_technique_rejected(self):
@@ -204,7 +194,7 @@ class TestCatalogType:
             ("M1026", "T1059"),
             ("M1038", "T1053"),
         )
-        assert catalog.mitigations_for("T1053") == ("M1026", "M1038")
+        assert catalog.covers([0]).ravel().tolist() == [1, 1]
 
     @pytest.mark.parametrize("name", [7, ["x"], None, b"x"])
     def test_non_string_name_rejected(self, name):
@@ -273,10 +263,9 @@ class TestCatalogType:
 
     def test_lookups(self, v13_catalog):
         assert v13_catalog.has_technique("T1112")
-        assert v13_catalog.mitigations_for("T1112") == ("M1024",)
-        assert len(v13_catalog.mitigations_for("T1574")) == 10
+        assert [m for m, t in v13_catalog.mappings if t == "T1112"] == ["M1024"]
+        assert sum(t == "T1574" for _, t in v13_catalog.mappings) == 10
         assert not v13_catalog.has_technique("T9999")
-        assert v13_catalog.mitigations_for("T9999") == ()
 
 
 class TestStixIngest:
@@ -517,10 +506,9 @@ class TestCollapse:
 
 class TestCsvIngest:
     def test_v13_fixture_counts(self, v13_catalog):
-        counts = {
-            tid: len(v13_catalog.mitigations_for(tid))
-            for tid in v13_catalog.tids
-        }
+        counts = dict(
+            zip(v13_catalog.tids, v13_catalog.covers(range(len(v13_catalog.tids))).sum(0).tolist())
+        )
         assert counts == {
             "T1036": 3,
             "T1047": 4,
@@ -669,6 +657,12 @@ class TestPersistence:
         path = tmp_path / "catalog.json"
         save_catalog(v13_catalog, path)
         assert load_catalog(path) == v13_catalog
+
+    @pytest.mark.parametrize("path", [None, 7, b"catalog.json"])
+    def test_load_path_that_is_not_a_path_rejected(self, path):
+        with pytest.raises(ValidationError) as info:
+            load_catalog(path)
+        assert str(info.value) == f"catalog path must be a str or a path, got {path!r}"
 
     def test_byte_stable_resave(self, v13_catalog, tmp_path):
         first = tmp_path / "a.json"

@@ -212,10 +212,10 @@ class TestMatrixType:
             v13_matrix.coverage[0, 0] = 9.9
 
     def test_cell_lookup_errors(self, v13_matrix):
-        with pytest.raises(KeyError):
-            v13_matrix.row_index("M9999")
-        with pytest.raises(KeyError):
-            v13_matrix.column_index("T9999")
+        with pytest.raises(KeyError, match="M9999"):
+            v13_matrix.cell("M9999", "T1059")
+        with pytest.raises(KeyError, match="T9999"):
+            v13_matrix.cell("M1038", "T9999")
 
 
 class TestExport:

@@ -325,6 +325,38 @@ class TestTypes:
         with pytest.raises(ValidationError):
             ScoreVector(method="topsis", mitigation_ids=("M1026",), scores=(1.5,))
 
+    @pytest.mark.parametrize(
+        "ids, scores, message",
+        [
+            (None, (), "mitigation_ids must be a sequence, got None"),
+            (("M1000",), None, "scores must be a sequence, got None"),
+            ("M1000", (1.0,), "mitigation_ids must be a sequence, not a string"),
+            (("M1000",), ("x",), "score must be a real number, got 'x'"),
+            (("M1000",), (True,), "score must be a real number, got True"),
+        ],
+    )
+    def test_score_vector_arguments_rejected(self, ids, scores, message):
+        with pytest.raises(ValidationError) as info:
+            ScoreVector("wsm", ids, scores)
+        assert str(info.value) == message
+
+    def test_score_vector_stores_tuples(self):
+        given = ScoreVector("wsm", ["M1026"], np.array([1.0]))
+        assert given == ScoreVector("wsm", ("M1026",), (1.0,))
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            (None, "plan entries must be a sequence, got None"),
+            (1.5, "plan entries must be a sequence, got 1.5"),
+            ("M1026", "plan entries must be a sequence, not a string"),
+        ],
+    )
+    def test_plan_entries_that_are_not_a_sequence_rejected(self, entries, message):
+        with pytest.raises(ValidationError) as info:
+            RankedPlan("wsm", entries)
+        assert str(info.value) == message
+
     def test_plan_validation(self):
         entry = PlanEntry(rank=2, mitigation_id="M1026", score=1.0, covered_techniques=())
         with pytest.raises(ValidationError):

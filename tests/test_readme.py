@@ -18,11 +18,29 @@ def _section(title: str) -> str:
     return match.group(1)
 
 
-def test_library_use_example_runs(capsys):
+def _run_library_example() -> dict:
+    """The names the python block under "Library use" binds."""
     match = re.search(r"^```python\n(.*?)^```", _section("Library use"), re.M | re.S)
     assert match, "README has no python block under '## Library use'"
-    exec(compile(match.group(1), f"{README}:Library use", "exec"), {})
+    names: dict = {}
+    exec(compile(match.group(1), f"{README}:Library use", "exec"), names)
+    return names
+
+
+def test_library_use_example_runs(capsys):
+    _run_library_example()
     assert capsys.readouterr().out == "M1026 4.476\n"
+
+
+def test_library_use_names_attributes_that_exist(capsys):
+    # Each backticked `catalog.X`, `weights.X`, `plan.X`, `matrix.X` or
+    # `report.X` in the section must be an attribute of the object the
+    # example binds to that name.
+    names = _run_library_example()
+    named = re.findall(r"`(catalog|weights|plan|matrix|report)\.(\w+)", _section("Library use"))
+    assert len(named) >= 5, "expected the section to name the example's attributes"
+    missing = [f"{obj}.{attr}" for obj, attr in named if not hasattr(names[obj], attr)]
+    assert missing == []
 
 
 def test_quick_start_prints_what_it_shows(tmp_path, monkeypatch, capsysbinary):

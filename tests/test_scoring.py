@@ -106,6 +106,19 @@ class TestWeights:
             WeightVector(entries=tuple(WeightEntry(t, w, "") for t, w in entries))
         assert str(info.value) == message
 
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            (None, "weight entries must be a sequence of WeightEntry, got None"),
+            (7, "weight entries must be a sequence of WeightEntry, got 7"),
+            ("T1053", "weight entries must be a sequence of WeightEntry, not a string"),
+        ],
+    )
+    def test_entries_that_are_not_a_sequence_rejected(self, entries, message):
+        with pytest.raises(ValidationError) as info:
+            WeightVector(entries)
+        assert str(info.value) == message
+
     def test_weights_stored_as_floats(self):
         floats = WeightVector([WeightEntry("T1053", 2.0), WeightEntry("T1059", 0.5)])
         for weight, half in ((2, Fraction(1, 2)), (np.float64(2.0), np.float64(0.5))):
