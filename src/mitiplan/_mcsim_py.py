@@ -14,9 +14,13 @@ from __future__ import annotations
 import numpy as np
 
 # Scratch memory any Monte Carlo pass (a lane pool, a swap block, a
-# kernel pass) may hold, whatever the trial count: 1.125 MiB.  Each fits
+# kernel pass) may hold, whatever the trial count: 1.625 MiB.  Each fits
 # as many trials as their bytes allow, for the fewest NumPy calls a trial.
-SCRATCH_BYTES = 9 * 2**17
+# This is the smallest multiple of 2^17 whose forward pool, 10,142 lanes
+# of `simulator._LANE_BYTES`, holds the CLI's default 10,000 trials, so a
+# default run draws in one generation of lanes: a second, narrower one
+# would repeat each lane round's fixed NumPy calls for fewer trials.
+SCRATCH_BYTES = 13 * 2**17
 
 
 def _pool_width(trials: int, lane_bytes: int, shared: int = 0) -> int:

@@ -348,12 +348,33 @@ class Catalog:
         """The cover table of the techniques at distinct ``columns`` of
         ``tids``: one uint8 row per mitigation in ``mids``, holding 1 at
         each place of ``columns`` whose technique the mitigation is
-        mapped to."""
-        place = np.full(len(self.tids), -1, dtype=np.intp)
-        place[columns] = np.arange(len(columns))
+        mapped to.  Anything but a flat sequence of distinct column
+        indexes raises :class:`ValidationError`."""
+        try:
+            picked = np.asarray(columns)
+            flat = picked.ndim == 1 and (picked.dtype.kind in "iu" or not picked.size)
+        except ValueError:  # ragged nesting
+            flat = False
+        if not flat:
+            raise ValidationError(
+                f"technique columns must be a sequence of integers, got {columns!r}"
+            )
+        # Unsigned indexes past 2^63 turn negative here, and fail the range test.
+        picked = picked.astype(np.intp, copy=False)
+        n = len(self.tids)
+        if picked.size and (picked.min() < 0 or picked.max() >= n):
+            raise ValidationError(
+                f"technique columns must index the {n} techniques, got {columns!r}"
+            )
+        place = np.full(n, -1, dtype=np.intp)
+        order = np.arange(len(picked))
+        place[picked] = order
+        # A repeated column keeps only its last place.
+        if (place[picked] != order).any():
+            raise ValidationError(f"technique columns must be distinct, got {columns!r}")
         places = place[self.mapping_cols]
         hit = places >= 0
-        table = np.zeros((len(self.mids), len(columns)), dtype=np.uint8)
+        table = np.zeros((len(self.mids), len(picked)), dtype=np.uint8)
         table[self.mapping_rows[hit], places[hit]] = 1
         return table
 
@@ -861,16 +882,19 @@ def loads_catalog(data: bytes | str) -> Catalog:
     )
 
 
+def _catalog_path(path) -> Path:
+    try:
+        return Path(path)
+    except TypeError:
+        raise ValidationError(f"catalog path must be a str or a path, got {path!r}") from None
+
+
 def save_catalog(catalog: Catalog, path: str | Path) -> None:
-    Path(path).write_bytes(dumps_catalog(catalog))
+    _catalog_path(path).write_bytes(dumps_catalog(catalog))
 
 
 def load_catalog(path: str | Path) -> Catalog:
-    try:
-        path = Path(path)
-    except TypeError:
-        raise ValidationError(f"catalog path must be a str or a path, got {path!r}") from None
-    return loads_catalog(path.read_bytes())
+    return loads_catalog(_catalog_path(path).read_bytes())
 
 
 def catalog_sha256(catalog: Catalog) -> str:

@@ -100,11 +100,6 @@ class DecisionMatrix:
     def weights_hash(self) -> str:
         return self.provenance.weights_hash
 
-    @property
-    def counts(self) -> np.ndarray:
-        """Mitigations mapped to each column: its nonzero coverage cells."""
-        return (self.coverage > 0).sum(axis=0)
-
     def weighted(self) -> np.ndarray:
         """Weighted cells: coverage scaled by each column's weight."""
         return self.coverage * self.weights

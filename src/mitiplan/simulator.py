@@ -248,9 +248,10 @@ _M0, _W0 = int(_PHILOX_M[0, 0]), int(_PHILOX_W[0, 0])
 
 # Bytes every lane holds at a pool's peak, inside `_philox_block`: its
 # state (slot, trial, counter, i and row offset, 8 bytes each), the two
-# word pairs it returns and its nine rows of round temporaries.  At a
-# full forward pool, m = 2 to 1000, tracemalloc puts the whole at 147 to
-# 153 bytes; the arrays made for each word a round tests take less.
+# word pairs it returns and its nine rows of round temporaries.  Over
+# `_draw_codes` at a full forward pool of 10,142 lanes, m = 2 to 1000,
+# tracemalloc puts the whole at 144 to 147 bytes; the arrays made for
+# each word a round tests take less.
 _LANE_BYTES = 168
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from mitiplan.catalog import (
@@ -260,6 +261,37 @@ class TestCatalogType:
 
         assert Technique(Text("T1053.005"), Text("Tâche"), True).id == "T1053.005"
         assert Mitigation(Text("M1026"), "計画タスク").name == "計画タスク"
+
+    @pytest.mark.parametrize(
+        "columns, message",
+        [
+            ("ab", "be a sequence of integers, got 'ab'"),
+            (b"\x00", "be a sequence of integers, got b'\\x00'"),
+            ({0: 1}, "be a sequence of integers, got {0: 1}"),
+            (None, "be a sequence of integers, got None"),
+            (True, "be a sequence of integers, got True"),
+            (3, "be a sequence of integers, got 3"),
+            ([0.0], "be a sequence of integers, got [0.0]"),
+            ([True, False], "be a sequence of integers, got [True, False]"),
+            ([[0], [1, 2]], "be a sequence of integers, got [[0], [1, 2]]"),
+            ([[0]], "be a sequence of integers, got [[0]]"),
+            ([0, 0], "be distinct, got [0, 0]"),
+            ([1, 2, 1], "be distinct, got [1, 2, 1]"),
+            ([-1], "index the 10 techniques, got [-1]"),
+            ([10], "index the 10 techniques, got [10]"),
+        ],
+    )
+    def test_covers_rejects_bad_columns(self, v13_catalog, columns, message):
+        with pytest.raises(ValidationError) as info:
+            v13_catalog.covers(columns)
+        assert str(info.value) == f"technique columns must {message}"
+
+    def test_covers_takes_any_flat_integer_sequence(self, v13_catalog):
+        table = v13_catalog.covers([3, 0])
+        assert np.array_equal(table, np.hstack([v13_catalog.covers([3]), v13_catalog.covers([0])]))
+        assert np.array_equal(v13_catalog.covers(np.array([3, 0], dtype=np.uint8)), table)
+        assert np.array_equal(v13_catalog.covers(range(3, -1, -3)), table)
+        assert v13_catalog.covers([]).shape == (18, 0)
 
     def test_lookups(self, v13_catalog):
         assert v13_catalog.has_technique("T1112")
@@ -662,6 +694,12 @@ class TestPersistence:
     def test_load_path_that_is_not_a_path_rejected(self, path):
         with pytest.raises(ValidationError) as info:
             load_catalog(path)
+        assert str(info.value) == f"catalog path must be a str or a path, got {path!r}"
+
+    @pytest.mark.parametrize("path", [None, 7, b"catalog.json"])
+    def test_save_path_that_is_not_a_path_rejected(self, v13_catalog, path):
+        with pytest.raises(ValidationError) as info:
+            save_catalog(v13_catalog, path)
         assert str(info.value) == f"catalog path must be a str or a path, got {path!r}"
 
     def test_byte_stable_resave(self, v13_catalog, tmp_path):

@@ -285,11 +285,12 @@ def test_mapping_counts_equal_scan(enterprise):
         tid: sum(1 for _, t in catalog.mappings if t == tid)
         for tid in weights.tids
     }
-    assert dict(zip(matrix.technique_ids, matrix.counts.tolist())) == {
+    counts = (matrix.coverage > 0).sum(axis=0)
+    assert dict(zip(matrix.technique_ids, counts.tolist())) == {
         tid: count for tid, count in scanned.items() if count
     }
     assert matrix.dropped_techniques == tuple(
         tid for tid, count in scanned.items() if not count
     )
     # Each mapped cell is exactly 1.0 / count, each unmapped one 0.
-    assert np.array_equal(matrix.coverage, (matrix.coverage > 0) / matrix.counts)
+    assert np.array_equal(matrix.coverage, (matrix.coverage > 0) / counts)

@@ -37,7 +37,7 @@ def _weights(pairs):
 
 class TestMappingCounts:
     def test_v13_counts(self, v13_catalog, v13_weights):
-        counts = build_decision_matrix(v13_catalog, v13_weights).counts
+        counts = (build_decision_matrix(v13_catalog, v13_weights).coverage > 0).sum(axis=0)
         assert counts.tolist() == [4, 7, 4, 2, 3, 4, 10, 4, 7, 1]
 
     def test_missing_technique_named(self, v13_catalog):
@@ -52,7 +52,7 @@ class TestMappingCounts:
             [Technique("T1053", "")], [Mitigation("M1026", "")], [("M1026", "T1053")]
         )
         matrix = build_decision_matrix(catalog, _weights([("T1053", 2.0)]))
-        assert matrix.counts.tolist() == [1]
+        assert (matrix.coverage > 0).sum(axis=0).tolist() == [1]
         assert matrix.coverage.tolist() == [[1.0]]
 
 
@@ -202,10 +202,10 @@ class TestMatrixType:
             coverage=np.array([[0.5, 1.0], [0.5, 0.0]]),
             weights=np.array([2.0, 1.0]),
         )
-        assert matrix.counts.tolist() == [2, 1]
+        assert (matrix.coverage > 0).sum(axis=0).tolist() == [2, 1]
         with pytest.raises(AttributeError):
-            matrix.counts = np.array([1, 1])
-        assert v13_matrix.counts.tolist() == [4, 7, 4, 2, 3, 4, 10, 4, 7, 1]
+            matrix.coverage = np.array([[1.0, 1.0], [0.0, 0.0]])
+        assert (v13_matrix.coverage > 0).sum(axis=0).tolist() == [4, 7, 4, 2, 3, 4, 10, 4, 7, 1]
 
     def test_arrays_read_only(self, v13_matrix):
         with pytest.raises(ValueError):

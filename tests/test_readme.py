@@ -6,6 +6,7 @@ import re
 import shlex
 from pathlib import Path
 
+from mitiplan import _mcsim_py, simulator
 from mitiplan.cli import run
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -58,3 +59,31 @@ def test_quick_start_prints_what_it_shows(tmp_path, monkeypatch, capsysbinary):
             capsysbinary.readouterr()
             assert run(argv) == 0, command
         assert capsysbinary.readouterr().out.decode("utf-8") == shown
+
+
+def test_lane_pool_figures_follow_the_budget(v13_catalog):
+    # The lane-pool paragraph's budget, pool widths and swap-block sizes,
+    # recomputed from the scratch budget and the bytes each walk counts.
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    lane, width = simulator._LANE_BYTES, simulator._pool_width
+    # An Enterprise-size backward lane (m = 45, one word of counts), beside
+    # the 45-row table of packed covers.
+    backward = lane + 45 + 4 * 8 + 8
+    # A swap block's trial: m + 2 one-byte cells, 24 bytes of cell index,
+    # lane number and widened code, and a one-byte kernel row of two cells
+    # for each cover of the most-covered technique, its step and block step.
+    # On paper_v13 the campaign's cover rows come off the budget first; at
+    # m = 45 they are at most 20 techniques of 12 covers.
+    m = len(v13_catalog.mids)
+    columns = [v13_catalog.technique_index[tid] for tid in ("T1053", "T1059")]
+    row, shared = _mcsim_py._pass_bytes(v13_catalog.covers(columns).sum(axis=0), 1)
+    v13, m45 = m + 2 + 24 + row, 45 + 2 + 24 + 2 * 12 + 2
+    expected = [
+        f"(`simulator.SCRATCH_BYTES`, {simulator.SCRATCH_BYTES / 2**20:g} MiB)",
+        f"that walk runs {width(10**9, lane):,} lanes at once",
+        f"a lane is {backward} bytes and that walk runs {width(10**9, backward, 45 * 8):,} lanes",
+        f"(m = {m}, campaign T1053,T1059) a trial takes {v13} bytes, "
+        f"so a block holds {width(10**9, v13, shared):,} trials",
+        f"a trial takes {m45} bytes and a block holds at least {width(10**9, m45, 8 * 20 * 12):,}",
+    ]
+    assert [phrase for phrase in expected if phrase not in text] == []

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mitiplan import _mcsim_py, simulator
+from mitiplan import _mcsim_py, cli, simulator
 from mitiplan.catalog import Catalog, Mitigation, Technique
 from mitiplan.errors import SimulationError, ValidationError
 from mitiplan.matrix import build_decision_matrix
@@ -630,18 +630,27 @@ class TestWalks:
         # m one-byte prefix cells, four rows of W packed 64-bit words and
         # its trial number.  At Enterprise size (m = 45, t = 20) the
         # counts fit one word, so its pool is about two thirds as wide,
-        # less one lane for the 45-row table of packed covers.
+        # less one lane for the 45-row table of packed covers.  The
+        # 1.625 MiB budget holds 10,142 forward lanes and 6,733 of these.
         budget = simulator.SCRATCH_BYTES
         forward = simulator._pool_width(10**6, simulator._LANE_BYTES)
         backward = simulator._pool_width(10**6, _backward_lane_bytes(45, 1))
         assert _backward_lane_bytes(45, 1) == simulator._LANE_BYTES + 45 + 4 * 8 + 8 == 253
-        assert forward == budget // simulator._LANE_BYTES == 7021
-        assert backward == 4662
-        assert simulator._pool_width(10**6, 253, 45 * 8) == 4661
+        assert forward == budget // simulator._LANE_BYTES == 10142
+        assert backward == 6734
+        assert simulator._pool_width(10**6, 253, 45 * 8) == 6733
         assert simulator._pool_width(10**6, 253, budget) == 1
         assert simulator._pool_width(100, simulator._LANE_BYTES) == 100
         assert simulator._pool_width(0, simulator._LANE_BYTES) == 0
         assert simulator._pool_width(5, 2 * budget) == 1
+
+    def test_default_run_fits_one_forward_pool(self):
+        # `simulate` at its default trial count draws every trial in one
+        # generation of lanes; a second, narrower one would repeat each
+        # lane round's fixed NumPy calls for a fraction of the trials.
+        argv = ["simulate", "--catalog", "c", "--weights", "w", "--campaign", "T1053"]
+        default = cli.build_parser().parse_args(argv).trials
+        assert simulator._pool_width(default, simulator._LANE_BYTES) == default
 
     def test_pools_hold_their_scratch_budget(self):
         # Scratch memory at a full pool's peak, past the walk's own
@@ -1002,8 +1011,8 @@ class TestKernel:
         # 11 cover rows come off the budget first.  A swap block's trial
         # holds m + 2 = 20 one-byte cells and 24 bytes of index, lane and
         # widened code beside that kernel row, 60 bytes in all, so a
-        # block is 19,659 trials and all 10,000 go in one block and one
-        # kernel pass, after a 7,021-lane pool.
+        # block is 28,397 trials and all 10,000 go in one block and one
+        # kernel pass, after one pool of 10,000 lanes.
         campaign = Campaign(techniques=("T1053", "T1059"))
         with pytest.MonkeyPatch.context() as patch:
             walk_asked, walk_widths = _spy_widths(patch, simulator)
@@ -1012,8 +1021,8 @@ class TestKernel:
         assert asked == [(16, 11 * 8)]
         assert widths == [10000]
         assert walk_asked == [(simulator._LANE_BYTES, 0), (18 + 2 + 24 + 16, 11 * 8)]
-        assert walk_widths == [7021, 10000]
-        assert simulator._pool_width(10**6, 60, 88) == 19659
+        assert walk_widths == [10000, 10000]
+        assert simulator._pool_width(10**6, 60, 88) == 28397
 
     def test_zero_trials(self):
         # `_pool_width` sizes a pass of no trials at 0 rows.
