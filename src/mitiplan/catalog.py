@@ -239,9 +239,10 @@ class Catalog:
     mapping_cols: np.ndarray
     meta: IngestStats
 
-    def __init__(
-        self, techniques, mitigations, mappings, meta: IngestStats = IngestStats()
-    ):
+    def __init__(self, techniques, mitigations, mappings, meta: IngestStats = IngestStats()):
+        techniques = _sequence(techniques, "catalog techniques must be a sequence")
+        mitigations = _sequence(mitigations, "catalog mitigations must be a sequence")
+        mappings = _sequence(mappings, "catalog mappings must be a sequence of pairs")
         self._fill(
             *_catalog_columns(
                 map(_technique_row, techniques), map(_mitigation_row, mitigations), mappings
@@ -342,7 +343,7 @@ class Catalog:
         )
 
     def has_technique(self, technique_id: str) -> bool:
-        return technique_id in self.technique_index
+        return isinstance(technique_id, str) and technique_id in self.technique_index
 
     def covers(self, columns) -> np.ndarray:
         """The cover table of the techniques at distinct ``columns`` of

@@ -19,6 +19,8 @@ from .catalog import (
     _check_name,
     _csv_field,
     _is_integer,
+    _sequence,
+    _set,
     parse_mitigation_id,
     parse_technique_id,
 )
@@ -54,6 +56,7 @@ class PlanDocument:
 
     def __post_init__(self):
         object.__setattr__(self, "timestamp", _check_timestamp(self.timestamp))
+        _set(self, "entries", _sequence(self.entries, "plan entries must be a sequence"))
         ranks = [entry.rank for entry in self.entries]
         if ranks != list(range(1, len(self.entries) + 1)):
             raise ValidationError("entries must be in rank order 1..m")

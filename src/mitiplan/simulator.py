@@ -18,8 +18,7 @@ from itertools import repeat
 
 import numpy as np
 
-from . import _mcsim_py as _kernel
-from ._mcsim_py import SCRATCH_BYTES, _pool_width
+from . import _kernel
 from .catalog import (
     _MITIGATION_IDS_RE,
     Catalog,
@@ -72,6 +71,11 @@ class SimulationResult:
     coverage_curve: tuple[tuple[int, float], ...]
 
     def __post_init__(self):
+        for name in ("per_technique_block_step", "coverage_curve"):
+            pairs = _sequence(getattr(self, name), f"{name} must be a sequence of pairs")
+            if not all(isinstance(pair, (tuple, list)) and len(pair) == 2 for pair in pairs):
+                raise ValidationError(f"{name} must be a sequence of pairs, got {pairs!r}")
+            object.__setattr__(self, name, pairs)
         steps = [step for _, step in self.per_technique_block_step]
         expected = max(steps) if steps and None not in steps else None
         if self.steps_to_block != expected:
@@ -253,6 +257,19 @@ _M0, _W0 = int(_PHILOX_M[0, 0]), int(_PHILOX_W[0, 0])
 # tracemalloc puts the whole at 144 to 147 bytes; the arrays made for
 # each word a round tests take less.
 _LANE_BYTES = 168
+
+# Scratch memory any Monte Carlo pass (a lane pool, or a swap block and
+# the kernel pass over it) may hold, whatever the trial count: 1.625 MiB,
+# the smallest multiple of 2^17 whose forward pool, 10,142 lanes of
+# `_LANE_BYTES`, draws the CLI's default 10,000 trials in one generation.
+SCRATCH_BYTES = 13 * 2**17
+
+
+def _pool_width(trials: int, lane_bytes: int, shared: int = 0) -> int:
+    """Trials in a pass (lanes in a pool) that hold `lane_bytes` each,
+    beside `shared` bytes kept for all of them: as many as the rest of
+    SCRATCH_BYTES holds, but at least one, and no more than `trials`."""
+    return min(trials, max(1, (SCRATCH_BYTES - shared) // lane_bytes))
 
 
 def _mulhi(a, b_lo, b_hi, scratch):
@@ -480,8 +497,8 @@ def forward_steps(covers: np.ndarray, threshold: int, trials: int, seed: int) ->
     shuffles of `trial_orders` without their orders: the trials' draws
     go to a (trials, m + 1) buffer of codes, the swaps run ascending to
     give each trial's step for every mitigation row, and the
-    steps-to-block kernel reads each swap block as it is made.  A block
-    leaves room for one kernel pass over its trials."""
+    steps-to-block kernel reads each swap block as it is made, in one
+    pass: a block leaves room for it, so the blocks size every call."""
     m = covers.shape[0]
     codes = np.empty((trials, m + 1), dtype=_code_dtype(m))
     if m >= 2:

@@ -6,15 +6,23 @@ its per-layer metric reads blank, and a count taken from a result the
 program no longer shapes that way fails or reads wrong.  These tests make
 both fail here too.  They import ``perfbench/spans.py`` and install no
 tracer; the forward walk's calls are recorded with ``monkeypatch``.
+The last test runs each workload once, traced, in process, as
+``perfbench/run.py --trace 1`` does, and reads its record.
 """
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+PER_LAYER = [
+    metric["name"]
+    for metric in json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())["per_layer"]
+]
 
 
 def test_every_span_hook_resolves(monkeypatch):
@@ -59,7 +67,7 @@ def test_forward_walk_counts_read_real_calls(monkeypatch, v13_catalog):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import spans
 
-    from mitiplan import _mcsim_py, simulator
+    from mitiplan import simulator
     from oracles import oracle_steps_to_block, oracle_trial_orders
 
     calls, blocks = [], []
@@ -75,7 +83,7 @@ def test_forward_walk_counts_read_real_calls(monkeypatch, v13_catalog):
     monkeypatch.setattr(simulator._kernel, "steps_to_block_batch", recorded)
     # 11 cover rows, then 60 bytes a trial: 18 + 2 swap cells, 24 bytes
     # of index, lane and code, and a 16-byte kernel row.
-    monkeypatch.setattr(_mcsim_py, "SCRATCH_BYTES", 11 * 8 + 200 * 60)
+    monkeypatch.setattr(simulator, "SCRATCH_BYTES", 11 * 8 + 200 * 60)
     trials = 500
     campaign = simulator.Campaign(techniques=("T1053", "T1059"))
     simulator.random_baseline(v13_catalog, campaign, trials, seed=42)
@@ -108,3 +116,17 @@ def test_forward_walk_counts_read_real_calls(monkeypatch, v13_catalog):
     assert counts["simulator.trial_orders"]((18, trials, 42), {}, direct) == {
         "simulator.orders_bytes": trials * 18 * 8
     }
+
+
+@pytest.mark.parametrize("workload", ["paper_mc", "enterprise_mc", "enterprise_rank"])
+def test_traced_run_reports_every_per_layer_metric(monkeypatch, workload):
+    # A hook whose attribute is gone drops its per-layer metrics from
+    # the record and lists them as missing; a traced run that lacks a
+    # metric the benchmark declares does not count.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import run
+
+    record = run.run(workload, seed=1, seconds=0.2, trace=True)
+    assert record["correct"]
+    assert record["missing_spans"] == []
+    assert [name for name in PER_LAYER if name not in record["metrics"]] == []

@@ -299,6 +299,29 @@ class TestCatalogType:
         assert sum(t == "T1574" for _, t in v13_catalog.mappings) == 10
         assert not v13_catalog.has_technique("T9999")
 
+    @pytest.mark.parametrize("value", [None, 5, [], {}, ("T1112",), b"T1112"])
+    def test_has_technique_is_false_for_non_strings(self, v13_catalog, value):
+        assert v13_catalog.has_technique(value) is False
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((None, [], []), "catalog techniques must be a sequence, got None"),
+            (([], None, []), "catalog mitigations must be a sequence, got None"),
+            (([], [], None), "catalog mappings must be a sequence of pairs, got None"),
+            (([], [], 5), "catalog mappings must be a sequence of pairs, got 5"),
+            (("T1053", [], []), "catalog techniques must be a sequence, not a string"),
+        ],
+    )
+    def test_arguments_that_are_not_sequences_rejected(self, args, message):
+        with pytest.raises(ValidationError) as info:
+            Catalog(*args)
+        assert str(info.value) == message
+
+    def test_arguments_may_be_generators(self):
+        records = ([Technique("T1053")], [Mitigation("M1026")], [("M1026", "T1053")])
+        assert Catalog(*(iter(r) for r in records)) == Catalog(*records)
+
 
 class TestStixIngest:
     def test_minimal_bundle(self):

@@ -6,7 +6,7 @@ import re
 import shlex
 from pathlib import Path
 
-from mitiplan import _mcsim_py, simulator
+from mitiplan import _kernel, simulator
 from mitiplan.cli import run
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -76,7 +76,7 @@ def test_lane_pool_figures_follow_the_budget(v13_catalog):
     # m = 45 they are at most 20 techniques of 12 covers.
     m = len(v13_catalog.mids)
     columns = [v13_catalog.technique_index[tid] for tid in ("T1053", "T1059")]
-    row, shared = _mcsim_py._pass_bytes(v13_catalog.covers(columns).sum(axis=0), 1)
+    row, shared = _kernel._pass_bytes(v13_catalog.covers(columns).sum(axis=0), 1)
     v13, m45 = m + 2 + 24 + row, 45 + 2 + 24 + 2 * 12 + 2
     expected = [
         f"(`simulator.SCRATCH_BYTES`, {simulator.SCRATCH_BYTES / 2**20:g} MiB)",

@@ -251,6 +251,23 @@ class TestTextFormats:
                 v13_plan, fmt
             )
 
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            (None, "plan entries must be a sequence, got None"),
+            (1.5, "plan entries must be a sequence, got 1.5"),
+            ("x", "plan entries must be a sequence, not a string"),
+        ],
+    )
+    def test_document_entries_that_are_not_a_sequence_rejected(self, entries, message):
+        with pytest.raises(ValidationError) as info:
+            PlanDocument("0", "wsm", "", "", PINNED, entries)
+        assert str(info.value) == message
+
+    def test_document_entries_may_be_a_generator(self, v13_plan):
+        doc = build_plan_document(v13_plan, timestamp=PINNED)
+        assert replace(doc, entries=iter(v13_plan.entries)) == doc
+
 
 class TestCsv:
     def test_header(self, v13_plan):

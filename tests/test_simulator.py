@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mitiplan import _mcsim_py, cli, simulator
+from mitiplan import cli, simulator
 from mitiplan.catalog import Catalog, Mitigation, Technique
 from mitiplan.errors import SimulationError, ValidationError
 from mitiplan.matrix import build_decision_matrix
@@ -661,15 +661,13 @@ class TestWalks:
         # its counts take four words; at m = 1000, t = 100 they take
         # twelve, and the 96 kB table of packed covers comes out of the
         # budget before the pool, 419 lanes, is sized: 500 trials fill it.
-        # The steps-to-block kernel's passes hold the same budget past
-        # their arguments, at k = 1 and 2, over int64 steps: at m = 1000
-        # a pass is 1,046 rows.
+        # The forward walk's swap blocks, with the kernel pass over each,
+        # hold the same budget (`test_forward_walk_holds_its_codes_and_one_budget`).
         covers = _random_covers(45, 20, seed=2, density=0.08)
         wide = _random_covers(257, 3, seed=2, density=0.05)
         many = _random_covers(100, 60, seed=2, density=0.05)
-        mid = _random_covers(300, 40, seed=2, density=0.05)
         large = _random_covers(1000, 100, seed=2, density=0.05)
-        for case in (covers, wide, many, mid, large):
+        for case in (covers, wide, many, large):
             case[:2] = 1
         budget = 1.02 * simulator.SCRATCH_BYTES
         for walk, args in (
@@ -681,14 +679,6 @@ class TestWalks:
         ):
             out, peak = _traced_peak(walk, *args, 11)
             assert peak - out.nbytes <= budget
-        for case in (covers, mid, large):
-            positions = np.argsort(trial_orders(case.shape[0], 3000, 11), axis=1)
-            out = np.empty(3000, dtype=np.int64)
-            for threshold in (1, 2):
-                _, peak = _traced_peak(
-                    _mcsim_py.steps_to_block_batch, positions, case, threshold, out
-                )
-                assert peak <= budget, (case.shape, threshold)
 
     def test_forward_walk_holds_its_codes_and_one_budget(self):
         # Past its steps, the forward walk holds its trials' draw codes,
@@ -713,10 +703,11 @@ class TestWalks:
     @pytest.mark.parametrize("trials", [0, 1, 3, 4, 5, 9])
     def test_forward_matches_oracle_across_swap_blocks(self, trials):
         # A budget shrunk to 4 trials a swap block puts the trials in
-        # blocks of 4 and a ragged last one, and the kernel reads each
-        # block in one pass.  The cases: m = 2, k = 1 to 3 on random
-        # covers, and a campaign whose second technique has one cover
-        # fewer than k = 2 needs.
+        # blocks of 4 and a ragged last one, and the kernel is called
+        # once for each block, with that block's steps, blockable or
+        # not.  The cases: m = 2, k = 1 to 3 on random covers, and a
+        # campaign whose second technique has one cover fewer than
+        # k = 2 needs.
         unblockable = _random_covers(9, 2, seed=4, density=0.5)
         unblockable[:, 0] = 1
         unblockable[:, 1] = 0
@@ -730,15 +721,15 @@ class TestWalks:
             m, seed = covers.shape[0], MAX_SEED - threshold
             expected = _oracle_batch(oracle_trial_orders(m, trials, seed), covers, threshold)
             with pytest.MonkeyPatch.context() as patch:
-                asked, _ = _spy_widths(patch, simulator)
+                asked, _ = _spy_widths(patch)
                 forward_steps(covers, threshold, 1, seed)
                 block_bytes, shared = asked[-1]
-                patch.setattr(_mcsim_py, "SCRATCH_BYTES", shared + 4 * block_bytes)
-                _, passes = _spy_kernel_widths(patch)
+                patch.setattr(simulator, "SCRATCH_BYTES", shared + 4 * block_bytes)
+                shapes = _spy_kernel(patch)
                 assert forward_steps(covers, threshold, trials, seed).tolist() == expected
             full, last = divmod(trials, 4)
             blocks = [4] * full + [last] * (last > 0)
-            assert passes == (blocks if covers.sum(axis=0).min() >= threshold else [])
+            assert shapes == [(n, m) for n in blocks]
 
     @pytest.mark.parametrize("lanes", [1, 2, 7])
     @pytest.mark.parametrize("threshold", [1, 2])
@@ -920,7 +911,7 @@ def _run_kernel(orders, covers, threshold):
     """The kernel's output for these orders, given each trial's 0-based
     step for every mitigation row, as the forward walk's swaps build it."""
     out = np.full(orders.shape[0], -7, dtype=np.int64)
-    _mcsim_py.steps_to_block_batch(np.argsort(orders, axis=1), covers, threshold, out)
+    simulator._kernel.steps_to_block_batch(np.argsort(orders, axis=1), covers, threshold, out)
     return out.tolist()
 
 
@@ -928,11 +919,10 @@ def _row_by_row(orders, covers, threshold):
     return [_run_kernel(order[None], covers, threshold)[0] for order in orders]
 
 
-def _spy_widths(patch, module):
-    """Record each call of `module._pool_width` (the kernel's, or the
-    walks'): its bytes per row and shared bytes, and the width it
-    gives, in two lists."""
-    real = _mcsim_py._pool_width
+def _spy_widths(patch):
+    """Record each call of the walks' `_pool_width`: its bytes per row
+    and shared bytes, and the width it gives, in two lists."""
+    real = simulator._pool_width
     asked, widths = [], []
 
     def spy(trials, row_bytes, shared=0):
@@ -940,25 +930,21 @@ def _spy_widths(patch, module):
         widths.append(real(trials, row_bytes, shared))
         return widths[-1]
 
-    patch.setattr(module, "_pool_width", spy)
+    patch.setattr(simulator, "_pool_width", spy)
     return asked, widths
 
 
-def _spy_kernel_widths(patch):
-    """Each kernel call's bytes per row and shared bytes, and its pass
-    width, as `_spy_widths` records them."""
-    return _spy_widths(patch, _mcsim_py)
+def _spy_kernel(patch):
+    """Record the shape of each kernel call's `positions`, in call order."""
+    shapes = []
+    real = simulator._kernel.steps_to_block_batch
 
+    def spy(positions, covers, threshold, out):
+        shapes.append(positions.shape)
+        return real(positions, covers, threshold, out)
 
-def _shrink_kernel_passes(patch, covers, threshold, rows):
-    """Shrink SCRATCH_BYTES, where `_pool_width` reads it, until one
-    kernel pass over `covers` holds `rows` trials; returns the list of
-    pass widths the kernel's later calls get."""
-    asked, widths = _spy_kernel_widths(patch)
-    _run_kernel(np.arange(covers.shape[0])[None], covers, threshold)
-    row_bytes, shared = asked[-1]
-    patch.setattr(_mcsim_py, "SCRATCH_BYTES", shared + rows * row_bytes)
-    return widths
+    patch.setattr(simulator._kernel, "steps_to_block_batch", spy)
+    return shapes
 
 
 def _random_covers(m, t, seed, density=0.4):
@@ -992,18 +978,6 @@ class TestKernel:
         assert _run_kernel(orders, covers, threshold) == [-1] * 20
         assert _oracle_batch(orders, covers, threshold) == [-1] * 20
 
-    @pytest.mark.parametrize("extra", [-1, 0, 1])
-    def test_matches_oracle_at_block_boundaries(self, extra):
-        # A budget shrunk to 7 rows a pass puts the batch one row short
-        # of a pass, at exactly one pass and one row past it.
-        covers = _random_covers(9, 3, seed=8)
-        orders = trial_orders(9, 7 + extra, seed=extra + 1)
-        with pytest.MonkeyPatch.context() as patch:
-            widths = _shrink_kernel_passes(patch, covers, 2, 7)
-            assert _run_kernel(orders, covers, 2) == _oracle_batch(orders, covers, 2)
-            assert widths[-1] == min(7, 7 + extra)
-            assert _run_kernel(orders, covers, 2) == _row_by_row(orders, covers, 2)
-
     def test_pass_width_on_paper_v13(self, v13_catalog):
         # The README's figures: a kernel row of one-byte steps holds
         # 2 * 7 + 2 = 16 bytes (T1059's 7 covers, gathered and
@@ -1012,20 +986,20 @@ class TestKernel:
         # holds m + 2 = 20 one-byte cells and 24 bytes of index, lane and
         # widened code beside that kernel row, 60 bytes in all, so a
         # block is 28,397 trials and all 10,000 go in one block and one
-        # kernel pass, after one pool of 10,000 lanes.
+        # kernel call, after one pool of 10,000 lanes.
         campaign = Campaign(techniques=("T1053", "T1059"))
         with pytest.MonkeyPatch.context() as patch:
-            walk_asked, walk_widths = _spy_widths(patch, simulator)
-            asked, widths = _spy_kernel_widths(patch)
+            walk_asked, walk_widths = _spy_widths(patch)
+            shapes = _spy_kernel(patch)
             random_baseline(v13_catalog, campaign, trials=10000, seed=42)
-        assert asked == [(16, 11 * 8)]
-        assert widths == [10000]
+        assert shapes == [(10000, 18)]
         assert walk_asked == [(simulator._LANE_BYTES, 0), (18 + 2 + 24 + 16, 11 * 8)]
         assert walk_widths == [10000, 10000]
         assert simulator._pool_width(10**6, 60, 88) == 28397
 
     def test_zero_trials(self):
-        # `_pool_width` sizes a pass of no trials at 0 rows.
+        # The kernel fills an empty batch, and the forward walk makes no
+        # swap block, and so no kernel call, for no trials.
         covers = _random_covers(9, 3, seed=8)
         covers[0] = 1
         for threshold in (1, 2):
@@ -1049,17 +1023,13 @@ class TestKernel:
         assert _run_kernel(orders, covers, threshold) == expected
 
     def test_rows_independent_of_batch(self):
-        # The kernel works a pass of rows at a time in reused buffers; a
-        # batch of three 7-row passes and a ragged 3-row one must match
-        # the oracle and row-by-row calls.
+        # A trial's step reads only its own row: a batch of 24 trials
+        # must match the oracle and row-by-row calls.
         covers = _random_covers(9, 3, seed=607)
         orders = trial_orders(9, 3 * 7 + 3, seed=5)
-        with pytest.MonkeyPatch.context() as patch:
-            widths = _shrink_kernel_passes(patch, covers, 2, 7)
-            batch = _run_kernel(orders, covers, 2)
-            assert widths[-1] == 7
-            assert batch == _oracle_batch(orders, covers, 2)
-            assert batch == _row_by_row(orders, covers, 2)
+        batch = _run_kernel(orders, covers, 2)
+        assert batch == _oracle_batch(orders, covers, 2)
+        assert batch == _row_by_row(orders, covers, 2)
 
 
 class TestCompareOrders:
@@ -1105,6 +1075,27 @@ class TestResultTypes:
                 per_technique_block_step=(("T1059", None),),
                 coverage_curve=((1, 1.0),),
             )
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("per_technique_block_step", None, "got None"),
+            ("per_technique_block_step", ("T1059",), "got ('T1059',)"),
+            ("coverage_curve", None, "got None"),
+            ("coverage_curve", "x", "not a string"),
+            ("coverage_curve", [(1, 0.5, 2)], "got ((1, 0.5, 2),)"),
+        ],
+    )
+    def test_simulation_result_pairs_are_sequences(self, field, value, message):
+        fields = dict(steps_to_block=None, per_technique_block_step=(), coverage_curve=())
+        fields[field] = value
+        with pytest.raises(ValidationError) as info:
+            SimulationResult(**fields)
+        assert str(info.value) == f"{field} must be a sequence of pairs, {message}"
+
+    def test_simulation_result_stores_tuples(self):
+        given = SimulationResult(1, iter([("T1059", 1)]), [(1, 1.0)])
+        assert given == SimulationResult(1, (("T1059", 1),), ((1, 1.0),))
 
     @pytest.mark.parametrize(
         "field, value", [("trials", True), ("trials", 10.0), ("seed", "x"), ("seed", False)]
