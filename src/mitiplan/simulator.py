@@ -77,6 +77,18 @@ class SimulationResult:
                 raise ValidationError(f"{name} must be a sequence of pairs, got {pairs!r}")
             object.__setattr__(self, name, pairs)
         steps = [step for _, step in self.per_technique_block_step]
+        for step in steps:
+            if step is not None and not (_is_integer(step) and step >= 1):
+                raise ValidationError(
+                    f"per_technique_block_step step must be an integer >= 1 or None, got {step!r}"
+                )
+        for step, fraction in self.coverage_curve:
+            if not (_is_integer(step) and step >= 1):
+                raise ValidationError(f"coverage_curve step must be an integer >= 1, got {step!r}")
+            if not 0.0 <= _real(fraction, "coverage_curve fraction") <= 1.0:
+                raise ValidationError(
+                    f"coverage_curve fraction must be in [0, 1], got {fraction!r}"
+                )
         expected = max(steps) if steps and None not in steps else None
         if self.steps_to_block != expected:
             raise ValidationError(
@@ -350,11 +362,18 @@ def _shuffle_lanes(m: int, trials: int, seed: int, width: int, start, place) -> 
     ``start(slots, trials)`` readies lane slots for new trials and returns
     each lane's row offset in the buffer that `place` works on.
     ``place(slots, rows, i, j, accept)`` sees every word the whole pool
-    draws: the lanes' slots and row offsets, each lane's i, the j it
-    drew and whether j <= i accepts it.  Lanes whose shuffle has ended
-    are in it too, at i = 0 (accepting j = 0) or i = -1 (accepting
-    nothing) until the round ends.  It returns the indices (into the
-    pool) of the lanes whose trial is now over, or None.
+    draws, except those a final round skips: the lanes' slots and row
+    offsets, each lane's i, the j it drew and whether j <= i accepts
+    it.  Lanes whose shuffle has ended are in it too, at i = 0
+    (accepting j = 0) or i = -1 (accepting nothing) until the round
+    ends.  It returns the indices (into the pool) of the lanes whose
+    trial is now over, or None.
+
+    A tail round, one with no trial queued and fewer lanes than the
+    pool started with, stops after the first word that leaves every
+    lane ended: no lane is left to take a trial, so it is the final
+    round, and no word it skips could reach a live lane.  The check
+    costs a test per word, which a full pool would pay for nothing.
     """
     masks = np.array([(1 << i.bit_length()) - 1 for i in range(m)], dtype=np.int64)
     slot = np.arange(width)
@@ -365,6 +384,7 @@ def _shuffle_lanes(m: int, trials: int, seed: int, width: int, start, place) -> 
     queued = width
     while slot.size:
         counter += 1
+        tail = queued == trials and slot.size < width
         for x in _philox_block(counter, seed, trial):
             # A word's low 32 bits come first, then its high ones.  In the
             # int64 view a word, and so its shift, may be negative; a mask,
@@ -380,9 +400,13 @@ def _shuffle_lanes(m: int, trials: int, seed: int, width: int, start, place) -> 
                 i -= accept
                 if over is not None:
                     i[over] = -1
+            if tail and (i <= 0).all():
+                break
         # Free this round's arrays before the next block is made.
         del x, half, j, accept
-        ended = np.flatnonzero(i <= 0)
+        # nonzero()[0] is np.flatnonzero of a 1-D mask without its
+        # wrapper calls, which a walk would make dozens of times.
+        ended = (i <= 0).nonzero()[0]
         if ended.size:
             fresh = ended[: trials - queued]
             if fresh.size:
@@ -394,8 +418,9 @@ def _shuffle_lanes(m: int, trials: int, seed: int, width: int, start, place) -> 
             if fresh.size < ended.size:
                 live = np.ones(slot.size, dtype=bool)
                 live[ended[fresh.size :]] = False
+                keep = live.nonzero()[0]
                 slot, trial, counter, i, row = (
-                    slot[live], trial[live], counter[live], i[live], row[live]
+                    a.take(keep) for a in (slot, trial, counter, i, row)
                 )
 
 
@@ -575,18 +600,24 @@ def backward_steps(covers: np.ndarray, threshold: int, trials: int, seed: int) -
     words = guard.size
     # A lane adds its prefix row, in cells no wider than m needs, its
     # trial's number and four rows of W words: its own counts, the two
-    # rows `place` gathers for it on a hit (`state[slots]` and
-    # `inc[placed]`) and one for the top-bit test.  The inc table serves
-    # every lane for the whole walk, so its bytes come out of the budget
-    # before the pool is sized.  tracemalloc puts a full pool's peak past
-    # its output at 0.83 of SCRATCH_BYTES at m = 45, t = 20, 0.79 at
-    # m = 100, t = 60, 0.96 at m = 257, t = 3 and 0.97 at m = 1000,
-    # t = 100; leaving the table out of the budget put the last at 1.03.
+    # rows `place` gathers for it on a hit (`state.take(slots)` and
+    # `inc.take(placed)`) and one for the top-bit test.  The inc table
+    # serves every lane for the whole walk, so its bytes come out of the
+    # budget before the pool is sized.  tracemalloc puts a full pool's
+    # peak past its output at 0.83 of SCRATCH_BYTES at m = 45, t = 20,
+    # 0.79 at m = 100, t = 60, 0.97 at m = 257, t = 3 and 0.96 at
+    # m = 1000, t = 100; leaving the table out of the budget put the
+    # last at 1.02.
     cell = np.min_scalar_type(m - 1)
     width = _pool_width(trials, _LANE_BYTES + cell.itemsize * m + 4 * 8 * words + 8, inc.nbytes)
+    # When one word holds every field, as at Enterprise size, the counts
+    # are a flat array, and a hit's top-bit test needs no reduction
+    # over a row of words.
+    if words == 1:
+        inc, begin, guard = inc[:, 0], begin[0], guard[0]
     prefix = np.empty((width, m), dtype=cell)
     flat = prefix.reshape(-1)
-    state = np.empty((width, words), dtype=np.uint64)
+    state = np.empty((width, *begin.shape), dtype=np.uint64)
     owner = np.empty(width, dtype=np.int64)
 
     def start(slots, lane_trials):
@@ -596,19 +627,20 @@ def backward_steps(covers: np.ndarray, threshold: int, trials: int, seed: int) -
         return slots * m
 
     def place(slots, rows, i, j, accept):
-        hit = np.flatnonzero(accept)
-        slots, at, i = slots[hit], rows[hit], i[hit]
-        pos_j = at + j[hit]
+        hit = accept.nonzero()[0]
+        slots, at, i = slots.take(hit), rows.take(hit), i.take(hit)
+        pos_j = at + j.take(hit)
         # Position i is final, so only the swap's other half is written.
-        placed = flat[pos_j]
-        flat[pos_j] = flat[at + i]
-        counts = state[slots]
-        counts -= inc[placed]
+        placed = flat.take(pos_j)
+        flat[pos_j] = flat.take(at + i)
+        counts = state.take(slots, axis=0)
+        counts -= inc.take(placed, axis=0)
         state[slots] = counts
         counts &= guard
-        over = (counts != guard).any(axis=1)
-        out[owner[slots[over]]] = i[over] + 1
-        return hit[over]
+        miss = counts != guard
+        over = (miss if words == 1 else miss.any(axis=1)).nonzero()[0]
+        out[owner.take(slots.take(over))] = i.take(over) + 1
+        return hit.take(over)
 
     _shuffle_lanes(m, trials, seed, width, start, place)
     return out

@@ -582,7 +582,8 @@ class TestWalks:
             )
 
     def test_place_sees_the_whole_pool(self):
-        # `place` gets every word the live pool draws, and the lane
+        # `place` gets every word the live pool draws (but those a final
+        # round skips once its last trial is over), and the lane
         # indices it returns end those lanes' trials: trials 1, 4 and 7
         # end after their third draw, the rest run to the end of their
         # shuffle.  Every trial, also one that takes a lane over, draws
@@ -625,6 +626,24 @@ class TestWalks:
             expected = _stream_draws(m, seed, t)
             assert draws[t] == (expected[:3] if t % 3 == 1 else expected)
 
+    def test_final_round_stops_at_its_last_trial(self):
+        # Three lanes run seven trials of m = 12.  The pool holds three
+        # lanes for four rounds, while trials are queued, then one.  A
+        # round reads all eight halves of its block while a trial is
+        # queued or a lane lives on past it; the final round's one lane
+        # ends its trial on the first word, so the round reads that word
+        # alone.  The steps still match the oracle's.
+        m, threshold, trials, seed = 12, 2, 7, 10
+        covers = _random_covers(m, 2, seed=m, density=0.5)
+        covers[:threshold] = 1
+        expected = _oracle_batch(oracle_trial_orders(m, trials, seed), covers, threshold)
+        with pytest.MonkeyPatch.context() as patch:
+            _pin_width(patch, 3)
+            rounds = _spy_rounds(patch)
+            assert backward_steps(covers, threshold, trials, seed).tolist() == expected
+        assert [lanes[0] for lanes in rounds] == [3, 3, 3, 3, 1, 1, 1]
+        assert [len(lanes) for lanes in rounds] == [8, 8, 8, 8, 8, 8, 2]
+
     def test_each_walk_sizes_its_own_pool(self):
         # The forward lane holds O(1) state; the backward lane adds its
         # m one-byte prefix cells, four rows of W packed 64-bit words and
@@ -660,7 +679,7 @@ class TestWalks:
         # the backward walk's prefix cells are two bytes wide; at t = 60
         # its counts take four words; at m = 1000, t = 100 they take
         # twelve, and the 96 kB table of packed covers comes out of the
-        # budget before the pool, 419 lanes, is sized: 500 trials fill it.
+        # budget before the pool, 628 lanes, is sized: 700 trials fill it.
         # The forward walk's swap blocks, with the kernel pass over each,
         # hold the same budget (`test_forward_walk_holds_its_codes_and_one_budget`).
         covers = _random_covers(45, 20, seed=2, density=0.08)
@@ -675,7 +694,7 @@ class TestWalks:
             (backward_steps, (covers, 2, 12000)),
             (backward_steps, (wide, 2, 12000)),
             (backward_steps, (many, 2, 12000)),
-            (backward_steps, (large, 2, 500)),
+            (backward_steps, (large, 2, 700)),
         ):
             out, peak = _traced_peak(walk, *args, 11)
             assert peak - out.nbytes <= budget
@@ -842,6 +861,28 @@ def _pin_width(patch, lanes):
 
     patch.setattr(simulator, "_pool_width", width)
     return asked
+
+
+def _spy_rounds(patch):
+    """Record the pool size of each `place` call of the lane walks,
+    one list per round: a round starts with the Philox block it draws."""
+    rounds = []
+    real_block, real_lanes = simulator._philox_block, simulator._shuffle_lanes
+
+    def block(counters, seed, keys):
+        rounds.append([])
+        return real_block(counters, seed, keys)
+
+    def lanes(m, trials, seed, width, start, place):
+        def spy(slots, rows, i, j, accept):
+            rounds[-1].append(slots.size)
+            return place(slots, rows, i, j, accept)
+
+        return real_lanes(m, trials, seed, width, start, spy)
+
+    patch.setattr(simulator, "_philox_block", block)
+    patch.setattr(simulator, "_shuffle_lanes", lanes)
+    return rounds
 
 
 def _traced_peak(call, *args):
@@ -1084,6 +1125,35 @@ class TestResultTypes:
             ("coverage_curve", None, "got None"),
             ("coverage_curve", "x", "not a string"),
             ("coverage_curve", [(1, 0.5, 2)], "got ((1, 0.5, 2),)"),
+            # Pairs whose values are not steps or fractions: the message
+            # is given whole.
+            (
+                "per_technique_block_step",
+                [("T1059", "x")],
+                "per_technique_block_step step must be an integer >= 1 or None, got 'x'",
+            ),
+            (
+                "per_technique_block_step",
+                [("T1059", 1.5)],
+                "per_technique_block_step step must be an integer >= 1 or None, got 1.5",
+            ),
+            (
+                "per_technique_block_step",
+                [("T1059", 0)],
+                "per_technique_block_step step must be an integer >= 1 or None, got 0",
+            ),
+            (
+                "coverage_curve",
+                [(1, "x")],
+                "coverage_curve fraction must be a real number, got 'x'",
+            ),
+            ("coverage_curve", [(1, 2.0)], "coverage_curve fraction must be in [0, 1], got 2.0"),
+            ("coverage_curve", [(1, -0.5)], "coverage_curve fraction must be in [0, 1], got -0.5"),
+            (
+                "coverage_curve",
+                [("a", 0.5)],
+                "coverage_curve step must be an integer >= 1, got 'a'",
+            ),
         ],
     )
     def test_simulation_result_pairs_are_sequences(self, field, value, message):
@@ -1091,7 +1161,9 @@ class TestResultTypes:
         fields[field] = value
         with pytest.raises(ValidationError) as info:
             SimulationResult(**fields)
-        assert str(info.value) == f"{field} must be a sequence of pairs, {message}"
+        if not message.startswith(field):
+            message = f"{field} must be a sequence of pairs, {message}"
+        assert str(info.value) == message
 
     def test_simulation_result_stores_tuples(self):
         given = SimulationResult(1, iter([("T1059", 1)]), [(1, 1.0)])
